@@ -158,7 +158,7 @@ void CampaignRunner::step(std::size_t index) {
             (std::filesystem::path(cfg_.checkpoint_root) / st.outcome.name /
              "done.txt")
                 .string(),
-            [](std::ostream& os) { os << "pmlp-done v1\nworker -\nend\n"; });
+            [](std::ostream& os) { save_record(DoneMarker{"-"}, os); });
       } catch (const std::exception&) {
       }
     }

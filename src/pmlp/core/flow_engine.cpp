@@ -200,31 +200,15 @@ void FlowEngine::ensure_checkpoint() {
     // Meta damage is always fatal (invalid_argument), never quarantined:
     // without the digest/fingerprint guard a resume could silently mix
     // artifacts from a different dataset or config.
-    std::istringstream is;
+    FlowMeta meta;
     try {
-      is.str(read_artifact_file(meta_path));
+      std::istringstream is(read_artifact_file(meta_path));
+      meta = load_record<FlowMeta>(is);
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument("FlowEngine: malformed checkpoint meta " +
                                   meta_path + ": " + e.what());
     }
-    std::string magic, version, tag, name;
-    std::uint64_t got_digest = 0, got_config = 0;
-    bool ok = static_cast<bool>(is >> magic >> version) &&
-              magic == "pmlp-flow-meta" && version == "v1" &&
-              static_cast<bool>(is >> tag) && tag == "dataset";
-    // The dataset name is the rest of the line (it may contain spaces).
-    if (ok) {
-      is >> std::ws;
-      ok = static_cast<bool>(std::getline(is, name));
-    }
-    ok = ok && static_cast<bool>(is >> tag >> got_digest) &&
-         tag == "digest" && static_cast<bool>(is >> tag >> got_config) &&
-         tag == "config";
-    if (!ok) {
-      throw std::invalid_argument("FlowEngine: malformed checkpoint meta " +
-                                  meta_path);
-    }
-    if (got_digest != digest || got_config != config) {
+    if (meta.digest != digest || meta.config != config) {
       throw std::runtime_error(
           "FlowEngine: checkpoint " + checkpoint_dir_ +
           " was created for a different dataset or flow config (delete the "
@@ -232,11 +216,7 @@ void FlowEngine::ensure_checkpoint() {
     }
   } else {
     write_artifact(meta_path, [&](std::ostream& os) {
-      os << "pmlp-flow-meta v1\n";
-      os << "dataset " << (data_.name.empty() ? "-" : data_.name) << '\n';
-      os << "digest " << digest << '\n';
-      os << "config " << config << '\n';
-      os << "end\n";
+      save_record(FlowMeta{data_.name, digest, config}, os);
     });
   }
   checkpoint_ready_ = true;

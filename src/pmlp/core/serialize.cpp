@@ -12,219 +12,697 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "pmlp/bitops/bitops.hpp"
+#include "pmlp/core/worker.hpp"
 
 namespace pmlp::core {
 
 namespace {
-constexpr const char* kMagic = "pmlp-approx-mlp";
-constexpr const char* kVersion = "v1";
 
-// ---------------------------------------------------------------- helpers
+// ------------------------------------------------------------ field kinds
+// Every format below is one describe() over these field kinds. Writer and
+// Reader implement the same member set, so a single description yields
+// both directions:
+//
+//   header(magic)        "<magic> v1" line
+//   tag(t) / end()       a line's leading tag; `end` closes the format
+//   num(v[, lo[, hi]])   integer, range-checked on read
+//   hexfloat(v)          exact double ("%a")
+//   flag(b) / sign(s)    0|1 boolean, -1|1 sign
+//   word(s)              one whitespace-free token
+//   text(s) / name(s)    rest of the line (name(): "-" stands for "")
+//   list(v, n, fn)       n elements, each described by fn
+//   at(v, i)             element i of a flat array (grown on read)
+//   reserve(v, n)        reader-only: capacity for a flat array's n elements
+//   build(obj, make)     reader-only: construct obj once its shape is known
+//   check(ok, why)       reader-only consistency check
+//
+// The writer opens a line at each tag and closes it at the next one, so the
+// descriptions never spell out separators or newlines.
 
-void expect_header(std::istream& is, const char* magic, const char* what) {
-  std::string m, version;
-  if (!(is >> m >> version) || m != magic || version != "v1") {
-    throw std::invalid_argument(std::string(what) + ": bad header");
-  }
-}
+class Writer {
+ public:
+  static constexpr bool kReading = false;
 
-void expect_tag(std::istream& is, const char* tag, const char* what) {
-  std::string t;
-  if (!(is >> t) || t != tag) {
-    throw std::invalid_argument(std::string(what) + ": expected '" + tag +
-                                "'" + (t.empty() ? "" : ", got '" + t + "'"));
-  }
-}
+  explicit Writer(std::ostream& os) : os_(os) {}
 
-void check_stream(const std::ostream& os, const char* what) {
-  if (!os) throw std::runtime_error(std::string(what) + ": stream failure");
-}
-
-mlp::Topology read_topology(std::istream& is, const char* what) {
-  expect_tag(is, "topology", what);
-  mlp::Topology topo;
-  int n_layers = 0;
-  if (!(is >> n_layers) || n_layers < 2 || n_layers > 64) {
-    throw std::invalid_argument(std::string(what) + ": bad topology size");
+  void header(const char* magic) {
+    if (what_ == nullptr) what_ = magic;
+    tag(magic);
+    os_ << " v1";
   }
-  for (int i = 0; i < n_layers; ++i) {
-    int width = 0;
-    if (!(is >> width) || width < 1 || width > 1 << 20) {
-      throw std::invalid_argument(std::string(what) + ": bad topology entry");
-    }
-    topo.layers.push_back(width);
+  void tag(const char* t) {
+    if (open_) os_ << '\n';
+    os_ << t;
+    open_ = true;
   }
-  return topo;
-}
-
-void write_topology(std::ostream& os, const mlp::Topology& topo) {
-  os << "topology " << topo.layers.size();
-  for (int n : topo.layers) os << ' ' << n;
-  os << '\n';
-}
-
-void write_name_line(std::ostream& os, const std::string& name) {
-  os << "name " << (name.empty() ? "-" : name) << '\n';
-}
-
-/// Names may contain spaces (UCI file stems), so the value is the rest of
-/// the line, not a single token.
-std::string read_name_line(std::istream& is, const char* what) {
-  expect_tag(is, "name", what);
-  is >> std::ws;
-  std::string name;
-  if (!std::getline(is, name) || name.empty()) {
-    throw std::invalid_argument(std::string(what) + ": missing name");
+  void end() { tag("end"); }
+  template <class T, class... Bounds>
+  void num(T& v, Bounds...) {
+    os_ << ' ' << +v;
   }
-  while (!name.empty() && (name.back() == '\r' || name.back() == ' ')) {
-    name.pop_back();
+  void hexfloat(double& v) {
+    os_ << ' ';
+    write_hexdouble(os_, v);
   }
-  if (name == "-") name.clear();
-  return name;
-}
-
-/// Parse the body of an approx-mlp block (everything after the header).
-/// In embedded mode the block must be terminated by an `endmodel` line;
-/// standalone blocks run to EOF (the original v1 file format).
-ApproxMlp parse_model_body(std::istream& is, bool embedded) {
-  std::string tag;
-  if (!(is >> tag) || tag != "topology") {
-    throw std::invalid_argument("load_model: expected topology");
+  void flag(bool& b) { os_ << ' ' << (b ? 1 : 0); }
+  void sign(int& s) { os_ << ' ' << (s < 0 ? -1 : 1); }
+  void word(std::string& s) { os_ << ' ' << s; }
+  void text(std::string& s) {
+    os_ << ' ';
+    for (char c : s) os_ << (c == '\n' || c == '\r' ? ' ' : c);
   }
-  // Topology: read ints until the "bits" tag.
-  mlp::Topology topo;
-  std::string token;
-  while (is >> token) {
-    if (token == "bits") break;
-    try {
-      topo.layers.push_back(std::stoi(token));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("load_model: bad topology entry");
-    }
-  }
-  if (token != "bits" || topo.layers.size() < 2) {
-    throw std::invalid_argument("load_model: malformed topology/bits");
-  }
-  BitConfig bits;
-  if (!(is >> bits.weight_bits >> bits.input_bits >> bits.act_bits >>
-        bits.bias_bits)) {
-    throw std::invalid_argument("load_model: malformed bit config");
-  }
-  if (bits.weight_bits < 2 || bits.weight_bits > 16 || bits.input_bits < 1 ||
-      bits.input_bits > 8 || bits.act_bits < 1 || bits.act_bits > 16 ||
-      bits.bias_bits < 2 || bits.bias_bits > 24) {
-    throw std::invalid_argument("load_model: bit config out of range");
-  }
-
-  ApproxMlp net(topo, bits);
-  int current_layer = -1;
-  bool terminated = false;
-  while (is >> tag) {
-    if (embedded && tag == "endmodel") {
-      terminated = true;
-      break;
-    }
-    if (tag == "layer") {
-      if (!(is >> current_layer) || current_layer < 0 ||
-          current_layer >= static_cast<int>(net.layers().size())) {
-        throw std::invalid_argument("load_model: bad layer index");
-      }
-    } else if (tag == "conn") {
-      if (current_layer < 0) {
-        throw std::invalid_argument("load_model: conn before layer");
-      }
-      auto& layer = net.layers()[static_cast<std::size_t>(current_layer)];
-      int o = 0, i = 0, sign = 0, exponent = 0;
-      std::uint32_t mask = 0;
-      if (!(is >> o >> i >> mask >> sign >> exponent)) {
-        throw std::invalid_argument("load_model: malformed conn");
-      }
-      if (o < 0 || o >= layer.n_out || i < 0 || i >= layer.n_in ||
-          (sign != 1 && sign != -1) || exponent < 0 ||
-          exponent > bits.max_exponent() ||
-          mask > bitops::low_mask(layer.input_bits)) {
-        throw std::invalid_argument("load_model: conn out of range");
-      }
-      layer.conn(o, i) = ApproxConn{mask, sign, exponent};
-    } else if (tag == "bias") {
-      if (current_layer < 0) {
-        throw std::invalid_argument("load_model: bias before layer");
-      }
-      auto& layer = net.layers()[static_cast<std::size_t>(current_layer)];
-      int o = 0;
-      std::int64_t value = 0;
-      if (!(is >> o >> value) || o < 0 || o >= layer.n_out ||
-          value < bits.bias_min() || value > bits.bias_max()) {
-        throw std::invalid_argument("load_model: bias out of range");
-      }
-      layer.biases[static_cast<std::size_t>(o)] = value;
+  void name(std::string& s) {
+    if (s.empty()) {
+      os_ << " -";
     } else {
-      throw std::invalid_argument("load_model: unknown tag " + tag);
+      text(s);
     }
   }
-  if (embedded && !terminated) {
-    throw std::invalid_argument("load_model: unterminated embedded model");
+  /// Widths that run up to the next tag (the approx-mlp v1 topology line).
+  void open_list(std::vector<int>& v, const char*) {
+    for (int x : v) os_ << ' ' << x;
   }
-  net.update_qrelu_shifts();
-  return net;
+  template <class Vec, class Fn>
+  void list(Vec& v, std::size_t, Fn&& fn) {
+    for (auto& e : v) fn(e);
+  }
+  template <class Vec>
+  auto& at(Vec& v, std::size_t i) {
+    return v[i];
+  }
+  template <class Vec>
+  void reserve(Vec&, std::size_t) {}
+  template <class T, class Make>
+  void build(T&, Make&&) {}
+  void check(bool, const char*) {}
+
+  /// Close the last line; throws std::runtime_error on stream failure.
+  void finish() {
+    if (open_) os_ << '\n';
+    open_ = false;
+    if (!os_) {
+      throw std::runtime_error(std::string(what_ ? what_ : "artifact") +
+                               ": stream failure");
+    }
+  }
+
+ private:
+  std::ostream& os_;
+  const char* what_ = nullptr;
+  bool open_ = false;
+};
+
+class Reader {
+ public:
+  static constexpr bool kReading = true;
+
+  explicit Reader(std::istream& is) : is_(is) {}
+
+  void header(const char* magic) {
+    if (what_ == nullptr) what_ = magic;
+    std::string m, v;
+    if (!next(m) || m != magic || !next(v) || v != "v1") fail("bad header");
+  }
+  void tag(const char* t) {
+    std::string got;
+    if (!next(got)) {
+      fail(std::string("expected '") + t + "', got end of input");
+    }
+    if (got != t) {
+      fail(std::string("expected '") + t + "', got '" + got + "'");
+    }
+    line_ = t;
+  }
+  void end() { tag("end"); }
+  template <class T>
+  void num(T& v) {
+    num(v, std::numeric_limits<T>::min(), std::numeric_limits<T>::max());
+  }
+  template <class T, class Lo>
+  void num(T& v, Lo lo) {
+    num(v, lo, std::numeric_limits<T>::max());
+  }
+  template <class T, class Lo, class Hi>
+  void num(T& v, Lo lo, Hi hi) {
+    // Widest type of T's signedness: `is >>` into it, then range-check —
+    // never into a char-sized T, which would read a character.
+    using Wide = std::conditional_t<std::is_signed_v<T>, long long,
+                                    unsigned long long>;
+    Wide w{};
+    if (!(is_ >> w)) fail(std::string("malformed value in '") + line_ + "'");
+    if (std::cmp_less(w, lo) || std::cmp_greater(w, hi)) {
+      fail("value " + std::to_string(w) + " out of range [" +
+           std::to_string(lo) + ", " + std::to_string(hi) + "] in '" +
+           line_ + "'");
+    }
+    v = static_cast<T>(w);
+  }
+  void hexfloat(double& v) { v = read_hexdouble(is_, what_); }
+  void flag(bool& b) {
+    int v = 0;
+    num(v, 0, 1);
+    b = v == 1;
+  }
+  void sign(int& s) {
+    num(s, -1, 1);
+    check(s != 0, "sign must be -1 or 1");
+  }
+  void word(std::string& s) {
+    if (!(is_ >> s)) fail(std::string("missing value in '") + line_ + "'");
+  }
+  void text(std::string& s) {
+    while (is_.peek() == ' ' || is_.peek() == '\t') is_.get();
+    std::getline(is_, s);
+    while (!s.empty() && (s.back() == '\r' || s.back() == ' ')) s.pop_back();
+  }
+  void name(std::string& s) {
+    text(s);
+    if (s.empty()) fail(std::string("missing value in '") + line_ + "'");
+    if (s == "-") s.clear();
+  }
+  void open_list(std::vector<int>& v, const char* stop) {
+    v.clear();
+    for (const std::string* t; (t = peek()) != nullptr && *t != stop;) {
+      try {
+        v.push_back(std::stoi(*t));
+      } catch (const std::exception&) {
+        fail("bad entry '" + *t + "' in '" + line_ + "'");
+      }
+      pending_.reset();
+    }
+  }
+  template <class Vec, class Fn>
+  void list(Vec& v, std::size_t n, Fn&& fn) {
+    v.clear();
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) fn(v.emplace_back());
+  }
+  template <class Vec>
+  auto& at(Vec& v, std::size_t i) {
+    if (i >= v.size()) v.resize(i + 1);
+    return v[i];
+  }
+  template <class Vec>
+  void reserve(Vec& v, std::size_t n) {
+    v.reserve(n);
+  }
+  template <class T, class Make>
+  void build(T& obj, Make&& make) {
+    obj = make();
+  }
+  void check(bool ok, const char* why) {
+    if (!ok) fail(why);
+  }
+
+  /// The next tag without consuming it; nullptr at end of input.
+  const std::string* peek() {
+    if (!pending_) {
+      std::string tok;
+      if (!(is_ >> tok)) return nullptr;
+      pending_ = std::move(tok);
+    }
+    return &*pending_;
+  }
+  [[noreturn]] void fail(const std::string& why) const {
+    throw std::invalid_argument(std::string(what_ ? what_ : "artifact") +
+                                ": " + why);
+  }
+
+ private:
+  bool next(std::string& t) {
+    if (pending_) {
+      t = std::move(*pending_);
+      pending_.reset();
+      return true;
+    }
+    return static_cast<bool>(is_ >> t);
+  }
+
+  std::istream& is_;
+  const char* what_ = nullptr;
+  const char* line_ = "";
+  std::optional<std::string> pending_;  ///< one peeked tag
+};
+
+/// A value that must equal its position (layer and neuron indices).
+template <class Io, class I>
+void ordinal(Io& io, I i) {
+  I v = i;
+  io.num(v, i, i);
 }
 
-ApproxMlp parse_model(std::istream& is, bool embedded) {
-  std::string magic, version;
-  if (!(is >> magic >> version) || magic != kMagic || version != kVersion) {
-    throw std::invalid_argument("load_model: bad header");
-  }
-  return parse_model_body(is, embedded);
+template <class T>
+void write_text(const T& value, std::ostream& os) {
+  Writer w(os);
+  describe(w, const_cast<T&>(value));  // the writer only reads
+  w.finish();
 }
 
-/// Write one approx-mlp block (header + body, no terminator).
-void write_model_block(const ApproxMlp& net, std::ostream& os) {
-  os << kMagic << ' ' << kVersion << '\n';
-  os << "topology";
-  for (int n : net.topology().layers) os << ' ' << n;
-  os << '\n';
-  const auto& b = net.bits();
-  os << "bits " << b.weight_bits << ' ' << b.input_bits << ' ' << b.act_bits
-     << ' ' << b.bias_bits << '\n';
+template <class T>
+T read_text(std::istream& is) {
+  Reader r(is);
+  T value{};
+  describe(r, value);
+  return value;
+}
+
+// ------------------------------------------------------------- descriptions
+
+constexpr std::size_t kMaxPoints = std::size_t{1} << 24;
+
+/// pmlp-approx-mlp v1. The standalone file runs to end of input; the
+/// embedded block stops at `terminator`. Its body lines address themselves
+/// and v1 readers have always taken them in any order and any subset
+/// (missing connections stay zero), so this reader dispatches on each tag;
+/// the line layouts are shared with the writer.
+template <class Io>
+void describe(Io& io, ApproxMlp& net, const char* terminator = nullptr) {
+  io.header("pmlp-approx-mlp");
+  mlp::Topology topo = net.topology();
+  BitConfig b = net.bits();
+  io.tag("topology");
+  io.open_list(topo.layers, "bits");
+  io.check(topo.layers.size() >= 2, "malformed topology/bits");
+  io.tag("bits");
+  io.num(b.weight_bits, 2, 16);
+  io.num(b.input_bits, 1, 8);
+  io.num(b.act_bits, 1, 16);
+  io.num(b.bias_bits, 2, 24);
+  io.build(net, [&] { return ApproxMlp(topo, b); });
+
+  const int n_layers = static_cast<int>(net.layers().size());
+  auto layer_line = [&](int& l) {
+    io.tag("layer");
+    io.num(l, 0, n_layers - 1);
+  };
+  auto conn_line = [&](int l, int o, int i) {
+    io.tag("conn");
+    io.check(l >= 0, "conn before layer");
+    ApproxLayer& layer = net.layers()[static_cast<std::size_t>(l)];
+    io.num(o, 0, layer.n_out - 1);
+    io.num(i, 0, layer.n_in - 1);
+    ApproxConn& c = layer.conn(o, i);
+    io.num(c.mask, 0, bitops::low_mask(layer.input_bits));
+    io.sign(c.sign);
+    io.num(c.exponent, 0, b.max_exponent());
+  };
+  auto bias_line = [&](int l, int o) {
+    io.tag("bias");
+    io.check(l >= 0, "bias before layer");
+    ApproxLayer& layer = net.layers()[static_cast<std::size_t>(l)];
+    io.num(o, 0, layer.n_out - 1);
+    io.num(layer.biases[static_cast<std::size_t>(o)], b.bias_min(),
+           b.bias_max());
+  };
+
+  if constexpr (Io::kReading) {
+    int l = -1;
+    for (const std::string* t;
+         (t = io.peek()) != nullptr &&
+         (terminator == nullptr || *t != terminator);) {
+      if (*t == "layer") {
+        layer_line(l);
+      } else if (*t == "conn") {
+        conn_line(l, 0, 0);
+      } else if (*t == "bias") {
+        bias_line(l, 0);
+      } else {
+        io.fail("unknown tag " + *t);
+      }
+    }
+    net.update_qrelu_shifts();
+  } else {
+    for (int l = 0; l < n_layers; ++l) {
+      layer_line(l);
+      const ApproxLayer& layer = net.layers()[static_cast<std::size_t>(l)];
+      for (int o = 0; o < layer.n_out; ++o) {
+        for (int i = 0; i < layer.n_in; ++i) conn_line(l, o, i);
+      }
+      for (int o = 0; o < layer.n_out; ++o) bias_line(l, o);
+    }
+  }
+}
+
+/// An approx-mlp block embedded in a training or evaluated set.
+template <class Io>
+void model_block(Io& io, ApproxMlp& net) {
+  io.tag("model");
+  describe(io, net, "endmodel");
+  io.tag("endmodel");
+}
+
+/// "topology <count> <width>..." of the float and quant MLP formats.
+template <class Io>
+void describe_topology(Io& io, mlp::Topology& topo) {
+  std::size_t n = topo.layers.size();
+  io.tag("topology");
+  io.num(n, 2, 64);
+  io.list(topo.layers, n, [&](int& width) { io.num(width, 1, 1 << 20); });
+}
+
+/// area / power / delay / cell count, shared by baseline and evaluated sets.
+template <class Io>
+void describe_cost(Io& io, hwmodel::CircuitCost& c) {
+  io.hexfloat(c.area_mm2);
+  io.hexfloat(c.power_uw);
+  io.hexfloat(c.critical_delay_us);
+  io.num(c.cell_count, 0);
+}
+
+template <class Io>
+void describe(Io& io, datasets::Dataset& d) {
+  io.header("pmlp-dataset");
+  io.tag("name");
+  io.name(d.name);
+  std::size_t n = d.size();
+  io.tag("shape");
+  io.num(d.n_features, 1);
+  io.num(d.n_classes, 1);
+  io.num(n, 0, std::size_t{1} << 32);
+  const auto nf = static_cast<std::size_t>(d.n_features);
+  io.reserve(d.labels, n);
+  io.reserve(d.features, n * nf);
+  for (std::size_t r = 0; r < n; ++r) {
+    io.tag("row");
+    io.num(io.at(d.labels, r), 0, d.n_classes - 1);
+    for (std::size_t f = 0; f < nf; ++f) {
+      io.hexfloat(io.at(d.features, r * nf + f));
+    }
+  }
+  io.end();
+}
+
+template <class Io>
+void describe(Io& io, datasets::QuantizedDataset& d) {
+  io.header("pmlp-quant-dataset");
+  io.tag("name");
+  io.name(d.name);
+  std::size_t n = d.size();
+  io.tag("shape");
+  io.num(d.n_features, 1);
+  io.num(d.n_classes, 1);
+  io.num(d.input_bits, 1, 8);
+  io.num(n, 0, std::size_t{1} << 32);
+  const auto nf = static_cast<std::size_t>(d.n_features);
+  const unsigned max_code = (1u << d.input_bits) - 1u;
+  io.reserve(d.labels, n);
+  io.reserve(d.codes, n * nf);
+  for (std::size_t r = 0; r < n; ++r) {
+    io.tag("row");
+    io.num(io.at(d.labels, r), 0, d.n_classes - 1);
+    for (std::size_t f = 0; f < nf; ++f) {
+      io.num(io.at(d.codes, r * nf + f), 0u, max_code);
+    }
+  }
+  io.end();
+}
+
+template <class Io>
+void describe(Io& io, mlp::FloatMlp& net) {
+  io.header("pmlp-float-mlp");
+  mlp::Topology topo = net.topology();
+  describe_topology(io, topo);
+  io.build(net, [&] { return mlp::FloatMlp(topo, /*seed=*/0); });
   for (std::size_t l = 0; l < net.layers().size(); ++l) {
-    const auto& layer = net.layers()[l];
-    os << "layer " << l << '\n';
+    mlp::DenseLayer& layer = net.layers()[l];
+    io.tag("layer");
+    ordinal(io, l);
     for (int o = 0; o < layer.n_out; ++o) {
+      io.tag("w");
+      ordinal(io, o);
+      for (int i = 0; i < layer.n_in; ++i) io.hexfloat(layer.weight(o, i));
+    }
+    for (int o = 0; o < layer.n_out; ++o) {
+      io.tag("b");
+      ordinal(io, o);
+      io.hexfloat(layer.biases[static_cast<std::size_t>(o)]);
+    }
+  }
+  io.end();
+}
+
+/// Zero-filled layers shaped by `topo`, for the quant-mlp reader to fill.
+std::vector<mlp::QuantLayer> zero_quant_layers(const mlp::Topology& topo) {
+  std::vector<mlp::QuantLayer> layers(
+      static_cast<std::size_t>(topo.n_layers()));
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    auto& layer = layers[l];
+    layer.n_in = topo.layers[l];
+    layer.n_out = topo.layers[l + 1];
+    layer.weights.assign(
+        static_cast<std::size_t>(layer.n_in) * layer.n_out, 0);
+    layer.biases.assign(static_cast<std::size_t>(layer.n_out), 0);
+  }
+  return layers;
+}
+
+template <class Io>
+void describe(Io& io, mlp::QuantMlp& net) {
+  io.header("pmlp-quant-mlp");
+  mlp::Topology topo = net.topology();
+  describe_topology(io, topo);
+  int weight_bits = net.weight_bits(), act_bits = net.activation_bits();
+  io.tag("bits");
+  io.num(weight_bits, 2, 24);
+  io.num(act_bits, 1, 24);
+  io.build(net, [&] {
+    return mlp::QuantMlp(topo, zero_quant_layers(topo), weight_bits, act_bits);
+  });
+  const std::int64_t limit = std::int64_t{1} << (weight_bits - 1);
+  for (std::size_t l = 0; l < net.layers().size(); ++l) {
+    mlp::QuantLayer& layer = net.layers()[l];
+    io.tag("layer");
+    ordinal(io, l);
+    io.num(layer.input_bits, 1, 24);
+    io.num(layer.qrelu_shift, 0, 63);
+    for (int o = 0; o < layer.n_out; ++o) {
+      io.tag("w");
+      ordinal(io, o);
       for (int i = 0; i < layer.n_in; ++i) {
-        const ApproxConn& c = layer.conn(o, i);
-        os << "conn " << o << ' ' << i << ' ' << c.mask << ' '
-           << (c.sign < 0 ? -1 : 1) << ' ' << c.exponent << '\n';
+        io.num(layer.weights[static_cast<std::size_t>(o) * layer.n_in + i],
+               -limit, limit - 1);
       }
     }
     for (int o = 0; o < layer.n_out; ++o) {
-      os << "bias " << o << ' ' << layer.biases[static_cast<std::size_t>(o)]
-         << '\n';
+      io.tag("b");
+      ordinal(io, o);
+      io.num(layer.biases[static_cast<std::size_t>(o)]);
     }
   }
+  io.end();
 }
 
-void write_model_embedded(const ApproxMlp& net, std::ostream& os) {
-  os << "model\n";
-  write_model_block(net, os);
-  os << "endmodel\n";
+template <class Io>
+void describe(Io& io, BaselinePricing& p) {
+  io.header("pmlp-baseline");
+  io.tag("cost");
+  describe_cost(io, p.cost);
+  io.tag("train_accuracy");
+  io.hexfloat(p.train_accuracy);
+  io.tag("test_accuracy");
+  io.hexfloat(p.test_accuracy);
+  describe(io, p.net);
+  io.end();
 }
 
-ApproxMlp read_model_embedded(std::istream& is, const char* what) {
-  expect_tag(is, "model", what);
-  return parse_model(is, /*embedded=*/true);
+template <class Io>
+void describe(Io& io, TrainingResult& r) {
+  io.header("pmlp-training");
+  io.tag("counters");
+  io.num(r.evaluations, 0);
+  io.hexfloat(r.wall_seconds);
+  io.hexfloat(r.baseline_train_accuracy);
+  io.hexfloat(r.evals_per_second);
+  io.num(r.cache_hits, 0);
+  io.hexfloat(r.cache_hit_rate);
+  std::size_t n = r.estimated_pareto.size();
+  io.tag("count");
+  io.num(n, 0, kMaxPoints);
+  io.list(r.estimated_pareto, n, [&](EstimatedPoint& p) {
+    io.tag("point");
+    io.hexfloat(p.train_accuracy);
+    io.num(p.fa_area, 0);
+    model_block(io, p.model);
+  });
+  io.end();
+}
+
+/// `Points` is a span when writing (the saver takes one) and a vector when
+/// reading.
+template <class Io, class Points>
+void describe_evaluated(Io& io, Points& points) {
+  io.header("pmlp-evaluated");
+  std::size_t n = points.size();
+  io.tag("count");
+  io.num(n, 0, kMaxPoints);
+  io.list(points, n, [&](HwEvaluatedPoint& p) {
+    io.tag("point");
+    io.hexfloat(p.test_accuracy);
+    io.num(p.fa_area, 0);
+    io.flag(p.functional_match);
+    describe_cost(io, p.cost);
+    model_block(io, p.model);
+  });
+  io.end();
+}
+
+template <class Io>
+void describe(Io& io, nsga2::GenerationState& s) {
+  io.header("pmlp-ga-state");
+  io.tag("generation");
+  io.num(s.next_generation, 0);
+  io.tag("evaluations");
+  io.num(s.evaluations, 0);
+  // The mt19937_64 serialization is space-separated tokens: one tagged
+  // line, taken verbatim.
+  io.tag("rng");
+  io.text(s.rng);
+  io.check(!s.rng.empty(), "missing rng state");
+  std::size_t n = s.population.size();
+  std::size_t n_genes = n ? s.population.front().genes.size() : 0;
+  std::size_t n_obj = n ? s.population.front().objectives.size() : 0;
+  io.tag("population");
+  io.num(n, 0, std::size_t{1} << 20);
+  io.num(n_genes, 0, std::size_t{1} << 20);
+  io.num(n_obj, 0, 16);
+  io.list(s.population, n, [&](nsga2::Individual& ind) {
+    io.tag("ind");
+    io.num(ind.rank, -1);
+    io.hexfloat(ind.crowding);
+    io.hexfloat(ind.constraint_violation);
+    io.tag("genes");
+    io.list(ind.genes, n_genes, [&](int& g) { io.num(g); });
+    io.tag("obj");
+    io.list(ind.objectives, n_obj, [&](double& o) { io.hexfloat(o); });
+  });
+  io.end();
+}
+
+template <class Io>
+void describe(Io& io, FlowMeta& m) {
+  io.header("pmlp-flow-meta");
+  io.tag("dataset");
+  io.name(m.dataset);
+  io.tag("digest");
+  io.num(m.digest);
+  io.tag("config");
+  io.num(m.config);
+  io.end();
+}
+
+template <class Io>
+void describe(Io& io, CampaignManifest& m) {
+  io.header("pmlp-campaign");
+  io.tag("population");
+  io.num(m.population, 1);
+  io.tag("generations");
+  io.num(m.generations, 1);
+  io.tag("ga_checkpoint");
+  io.num(m.ga_checkpoint, 0);
+  std::size_t n = m.flows.size();
+  io.tag("flows");
+  io.num(n, 0, std::size_t{1} << 20);
+  io.list(m.flows, n, [&](CampaignManifestFlow& f) {
+    io.tag("flow");
+    io.word(f.name);
+    io.word(f.dataset);
+    io.num(f.seed);
+    if constexpr (Io::kReading) {
+      for (std::size_t i = 0; i + 1 < m.flows.size(); ++i) {
+        if (m.flows[i].name == f.name) {
+          io.fail("duplicate flow '" + f.name + "'");
+        }
+      }
+    }
+  });
+  io.end();
+}
+
+template <class Io>
+void describe(Io& io, lease::ClaimInfo& c) {
+  io.header("pmlp-claim");
+  io.tag("worker");
+  io.word(c.worker);
+  io.tag("host");
+  io.word(c.host);
+  io.tag("pid");
+  io.num(c.pid);
+  io.end();
+}
+
+template <class Io>
+void describe(Io& io, BeatRecord& b) {
+  io.header("pmlp-beat");
+  io.tag("worker");
+  io.word(b.worker);
+  io.tag("count");
+  io.num(b.count);
+  io.end();
+}
+
+template <class Io>
+void describe(Io& io, FailureRecord& f) {
+  io.header("pmlp-failures");
+  io.tag("count");
+  io.num(f.count, 0);
+  io.tag("error");
+  io.text(f.error);
+  io.end();
+}
+
+template <class Io>
+void describe(Io& io, DoneMarker& d) {
+  io.header("pmlp-done");
+  io.tag("worker");
+  io.word(d.worker);
+  io.end();
+}
+
+template <class Io>
+void describe(Io& io, FailedMarker& f) {
+  io.header("pmlp-failed");
+  io.tag("worker");
+  io.word(f.worker);
+  io.tag("error");
+  io.text(f.error);
+  io.end();
 }
 
 }  // namespace
 
-void save_model(const ApproxMlp& net, std::ostream& os) {
-  write_model_block(net, os);
-  check_stream(os, "save_model");
+// ---------------------------------------------------------- entry points
+
+template <class T>
+void save_record(const T& record, std::ostream& os) {
+  write_text(record, os);
 }
+
+template <class T>
+T load_record(std::istream& is) {
+  return read_text<T>(is);
+}
+
+#define PMLP_RECORD(T)                                       \
+  template void save_record<T>(const T&, std::ostream&);     \
+  template T load_record<T>(std::istream&);
+PMLP_RECORD(FlowMeta)
+PMLP_RECORD(CampaignManifest)
+PMLP_RECORD(lease::ClaimInfo)
+PMLP_RECORD(BeatRecord)
+PMLP_RECORD(FailureRecord)
+PMLP_RECORD(DoneMarker)
+PMLP_RECORD(FailedMarker)
+#undef PMLP_RECORD
+
+void save_model(const ApproxMlp& net, std::ostream& os) { write_text(net, os); }
 
 std::string to_text(const ApproxMlp& net) {
   std::ostringstream os;
@@ -232,9 +710,7 @@ std::string to_text(const ApproxMlp& net) {
   return os.str();
 }
 
-ApproxMlp load_model(std::istream& is) {
-  return parse_model(is, /*embedded=*/false);
-}
+ApproxMlp load_model(std::istream& is) { return read_text<ApproxMlp>(is); }
 
 ApproxMlp from_text(const std::string& text) {
   std::istringstream is(text);
@@ -253,585 +729,69 @@ ApproxMlp load_model_file(const std::string& path) {
   return load_model(is);
 }
 
-// ---------------------------------------------------------------- datasets
-
 void save_dataset(const datasets::Dataset& d, std::ostream& os) {
-  os << "pmlp-dataset v1\n";
-  write_name_line(os, d.name);
-  os << "shape " << d.n_features << ' ' << d.n_classes << ' ' << d.size()
-     << '\n';
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    os << "row " << d.labels[i];
-    for (double v : d.row(i)) {
-      os << ' ';
-      write_hexdouble(os, v);
-    }
-    os << '\n';
-  }
-  os << "end\n";
-  check_stream(os, "save_dataset");
+  write_text(d, os);
 }
-
 datasets::Dataset load_dataset(std::istream& is) {
-  expect_header(is, "pmlp-dataset", "load_dataset");
-  datasets::Dataset d;
-  d.name = read_name_line(is, "load_dataset");
-  expect_tag(is, "shape", "load_dataset");
-  std::size_t n_samples = 0;
-  if (!(is >> d.n_features >> d.n_classes >> n_samples) || d.n_features < 1 ||
-      d.n_classes < 1 || n_samples > (std::size_t{1} << 32)) {
-    throw std::invalid_argument("load_dataset: bad shape");
-  }
-  d.features.reserve(n_samples * static_cast<std::size_t>(d.n_features));
-  d.labels.reserve(n_samples);
-  std::string tag;
-  while (is >> tag) {
-    if (tag == "end") {
-      if (d.size() != n_samples) {
-        throw std::invalid_argument("load_dataset: sample count mismatch");
-      }
-      return d;
-    }
-    if (tag != "row") {
-      throw std::invalid_argument("load_dataset: unknown tag " + tag);
-    }
-    int label = 0;
-    if (!(is >> label) || label < 0 || label >= d.n_classes) {
-      throw std::invalid_argument("load_dataset: label out of range");
-    }
-    d.labels.push_back(label);
-    for (int f = 0; f < d.n_features; ++f) {
-      d.features.push_back(read_hexdouble(is, "load_dataset"));
-    }
-  }
-  throw std::invalid_argument("load_dataset: missing end");
+  return read_text<datasets::Dataset>(is);
 }
 
 void save_quant_dataset(const datasets::QuantizedDataset& d,
                         std::ostream& os) {
-  os << "pmlp-quant-dataset v1\n";
-  write_name_line(os, d.name);
-  os << "shape " << d.n_features << ' ' << d.n_classes << ' ' << d.input_bits
-     << ' ' << d.size() << '\n';
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    os << "row " << d.labels[i];
-    for (unsigned code : d.row(i)) os << ' ' << code;
-    os << '\n';
-  }
-  os << "end\n";
-  check_stream(os, "save_quant_dataset");
+  write_text(d, os);
 }
-
 datasets::QuantizedDataset load_quant_dataset(std::istream& is) {
-  expect_header(is, "pmlp-quant-dataset", "load_quant_dataset");
-  datasets::QuantizedDataset d;
-  d.name = read_name_line(is, "load_quant_dataset");
-  expect_tag(is, "shape", "load_quant_dataset");
-  std::size_t n_samples = 0;
-  if (!(is >> d.n_features >> d.n_classes >> d.input_bits >> n_samples) ||
-      d.n_features < 1 || d.n_classes < 1 || d.input_bits < 1 ||
-      d.input_bits > 8 || n_samples > (std::size_t{1} << 32)) {
-    throw std::invalid_argument("load_quant_dataset: bad shape");
-  }
-  const unsigned max_code = (1u << d.input_bits) - 1u;
-  d.codes.reserve(n_samples * static_cast<std::size_t>(d.n_features));
-  d.labels.reserve(n_samples);
-  std::string tag;
-  while (is >> tag) {
-    if (tag == "end") {
-      if (d.size() != n_samples) {
-        throw std::invalid_argument(
-            "load_quant_dataset: sample count mismatch");
-      }
-      return d;
-    }
-    if (tag != "row") {
-      throw std::invalid_argument("load_quant_dataset: unknown tag " + tag);
-    }
-    int label = 0;
-    if (!(is >> label) || label < 0 || label >= d.n_classes) {
-      throw std::invalid_argument("load_quant_dataset: label out of range");
-    }
-    d.labels.push_back(label);
-    for (int f = 0; f < d.n_features; ++f) {
-      unsigned code = 0;
-      if (!(is >> code) || code > max_code) {
-        throw std::invalid_argument("load_quant_dataset: code out of range");
-      }
-      d.codes.push_back(static_cast<std::uint8_t>(code));
-    }
-  }
-  throw std::invalid_argument("load_quant_dataset: missing end");
+  return read_text<datasets::QuantizedDataset>(is);
 }
-
-// -------------------------------------------------------------------- MLPs
 
 void save_float_mlp(const mlp::FloatMlp& net, std::ostream& os) {
-  os << "pmlp-float-mlp v1\n";
-  write_topology(os, net.topology());
-  for (std::size_t l = 0; l < net.layers().size(); ++l) {
-    const auto& layer = net.layers()[l];
-    os << "layer " << l << '\n';
-    for (int o = 0; o < layer.n_out; ++o) {
-      os << "w " << o;
-      for (int i = 0; i < layer.n_in; ++i) {
-        os << ' ';
-        write_hexdouble(os, layer.weight(o, i));
-      }
-      os << '\n';
-    }
-    for (int o = 0; o < layer.n_out; ++o) {
-      os << "b " << o << ' ';
-      write_hexdouble(os, layer.biases[static_cast<std::size_t>(o)]);
-      os << '\n';
-    }
-  }
-  os << "end\n";
-  check_stream(os, "save_float_mlp");
+  write_text(net, os);
 }
-
 mlp::FloatMlp load_float_mlp(std::istream& is) {
-  expect_header(is, "pmlp-float-mlp", "load_float_mlp");
-  const auto topo = read_topology(is, "load_float_mlp");
-  mlp::FloatMlp net(topo, /*seed=*/0);  // shape only; weights overwritten
-  // Every neuron's weight row and bias must appear: a file missing rows
-  // would otherwise silently keep the seed-0 random initialization.
-  std::vector<std::vector<char>> w_seen, b_seen;
-  for (const auto& layer : net.layers()) {
-    w_seen.emplace_back(static_cast<std::size_t>(layer.n_out), 0);
-    b_seen.emplace_back(static_cast<std::size_t>(layer.n_out), 0);
-  }
-  int current_layer = -1;
-  std::string tag;
-  while (is >> tag) {
-    if (tag == "end") {
-      for (std::size_t l = 0; l < w_seen.size(); ++l) {
-        for (char seen : w_seen[l]) {
-          if (!seen) {
-            throw std::invalid_argument("load_float_mlp: missing weights");
-          }
-        }
-        for (char seen : b_seen[l]) {
-          if (!seen) {
-            throw std::invalid_argument("load_float_mlp: missing bias");
-          }
-        }
-      }
-      return net;
-    }
-    if (tag == "layer") {
-      if (!(is >> current_layer) || current_layer < 0 ||
-          current_layer >= static_cast<int>(net.layers().size())) {
-        throw std::invalid_argument("load_float_mlp: bad layer index");
-      }
-    } else if (tag == "w" || tag == "b") {
-      if (current_layer < 0) {
-        throw std::invalid_argument("load_float_mlp: value before layer");
-      }
-      auto& layer = net.layers()[static_cast<std::size_t>(current_layer)];
-      int o = 0;
-      if (!(is >> o) || o < 0 || o >= layer.n_out) {
-        throw std::invalid_argument("load_float_mlp: neuron out of range");
-      }
-      if (tag == "w") {
-        for (int i = 0; i < layer.n_in; ++i) {
-          layer.weight(o, i) = read_hexdouble(is, "load_float_mlp");
-        }
-        w_seen[static_cast<std::size_t>(current_layer)]
-              [static_cast<std::size_t>(o)] = 1;
-      } else {
-        layer.biases[static_cast<std::size_t>(o)] =
-            read_hexdouble(is, "load_float_mlp");
-        b_seen[static_cast<std::size_t>(current_layer)]
-              [static_cast<std::size_t>(o)] = 1;
-      }
-    } else {
-      throw std::invalid_argument("load_float_mlp: unknown tag " + tag);
-    }
-  }
-  throw std::invalid_argument("load_float_mlp: missing end");
+  return read_text<mlp::FloatMlp>(is);
 }
 
 void save_quant_mlp(const mlp::QuantMlp& net, std::ostream& os) {
-  os << "pmlp-quant-mlp v1\n";
-  write_topology(os, net.topology());
-  os << "bits " << net.weight_bits() << ' ' << net.activation_bits() << '\n';
-  for (std::size_t l = 0; l < net.layers().size(); ++l) {
-    const auto& layer = net.layers()[l];
-    os << "layer " << l << ' ' << layer.input_bits << ' ' << layer.qrelu_shift
-       << '\n';
-    for (int o = 0; o < layer.n_out; ++o) {
-      os << "w " << o;
-      for (int i = 0; i < layer.n_in; ++i) os << ' ' << layer.weight(o, i);
-      os << '\n';
-    }
-    for (int o = 0; o < layer.n_out; ++o) {
-      os << "b " << o << ' ' << layer.biases[static_cast<std::size_t>(o)]
-         << '\n';
-    }
-  }
-  os << "end\n";
-  check_stream(os, "save_quant_mlp");
+  write_text(net, os);
 }
-
 mlp::QuantMlp load_quant_mlp(std::istream& is) {
-  expect_header(is, "pmlp-quant-mlp", "load_quant_mlp");
-  const auto topo = read_topology(is, "load_quant_mlp");
-  int weight_bits = 0, act_bits = 0;
-  expect_tag(is, "bits", "load_quant_mlp");
-  if (!(is >> weight_bits >> act_bits) || weight_bits < 2 ||
-      weight_bits > 24 || act_bits < 1 || act_bits > 24) {
-    throw std::invalid_argument("load_quant_mlp: bit config out of range");
-  }
-  std::vector<mlp::QuantLayer> layers(
-      static_cast<std::size_t>(topo.n_layers()));
-  std::vector<char> layer_seen(layers.size(), 0);
-  std::vector<std::vector<char>> w_seen, b_seen;
-  for (int l = 0; l < topo.n_layers(); ++l) {
-    auto& layer = layers[static_cast<std::size_t>(l)];
-    layer.n_in = topo.layers[static_cast<std::size_t>(l)];
-    layer.n_out = topo.layers[static_cast<std::size_t>(l) + 1];
-    layer.weights.assign(
-        static_cast<std::size_t>(layer.n_in) * layer.n_out, 0);
-    layer.biases.assign(static_cast<std::size_t>(layer.n_out), 0);
-    w_seen.emplace_back(static_cast<std::size_t>(layer.n_out), 0);
-    b_seen.emplace_back(static_cast<std::size_t>(layer.n_out), 0);
-  }
-  int current_layer = -1;
-  std::string tag;
-  while (is >> tag) {
-    if (tag == "end") {
-      // Reject files missing any layer header, weight row or bias (they
-      // would otherwise load with silent zeros / default shifts).
-      for (std::size_t l = 0; l < layers.size(); ++l) {
-        bool complete = layer_seen[l] != 0;
-        for (char seen : w_seen[l]) complete = complete && seen != 0;
-        for (char seen : b_seen[l]) complete = complete && seen != 0;
-        if (!complete) {
-          throw std::invalid_argument("load_quant_mlp: incomplete layer");
-        }
-      }
-      return mlp::QuantMlp(topo, std::move(layers), weight_bits, act_bits);
-    }
-    if (tag == "layer") {
-      int input_bits = 0, shift = 0;
-      if (!(is >> current_layer >> input_bits >> shift) || current_layer < 0 ||
-          current_layer >= static_cast<int>(layers.size()) || input_bits < 1 ||
-          input_bits > 24 || shift < 0 || shift > 63) {
-        throw std::invalid_argument("load_quant_mlp: bad layer line");
-      }
-      layers[static_cast<std::size_t>(current_layer)].input_bits = input_bits;
-      layers[static_cast<std::size_t>(current_layer)].qrelu_shift = shift;
-      layer_seen[static_cast<std::size_t>(current_layer)] = 1;
-    } else if (tag == "w" || tag == "b") {
-      if (current_layer < 0) {
-        throw std::invalid_argument("load_quant_mlp: value before layer");
-      }
-      auto& layer = layers[static_cast<std::size_t>(current_layer)];
-      int o = 0;
-      if (!(is >> o) || o < 0 || o >= layer.n_out) {
-        throw std::invalid_argument("load_quant_mlp: neuron out of range");
-      }
-      if (tag == "w") {
-        const std::int64_t limit = std::int64_t{1} << (weight_bits - 1);
-        for (int i = 0; i < layer.n_in; ++i) {
-          std::int64_t w = 0;
-          if (!(is >> w) || w < -limit || w >= limit) {
-            throw std::invalid_argument(
-                "load_quant_mlp: weight out of range");
-          }
-          layer.weights[static_cast<std::size_t>(o) * layer.n_in + i] =
-              static_cast<std::int32_t>(w);
-        }
-        w_seen[static_cast<std::size_t>(current_layer)]
-              [static_cast<std::size_t>(o)] = 1;
-      } else {
-        std::int64_t b = 0;
-        if (!(is >> b)) {
-          throw std::invalid_argument("load_quant_mlp: malformed bias");
-        }
-        layer.biases[static_cast<std::size_t>(o)] = b;
-        b_seen[static_cast<std::size_t>(current_layer)]
-              [static_cast<std::size_t>(o)] = 1;
-      }
-    } else {
-      throw std::invalid_argument("load_quant_mlp: unknown tag " + tag);
-    }
-  }
-  throw std::invalid_argument("load_quant_mlp: missing end");
+  return read_text<mlp::QuantMlp>(is);
 }
-
-// --------------------------------------------------------- baseline stage
 
 void save_baseline_pricing(const BaselinePricing& pricing, std::ostream& os) {
-  os << "pmlp-baseline v1\n";
-  os << "cost ";
-  write_hexdouble(os, pricing.cost.area_mm2);
-  os << ' ';
-  write_hexdouble(os, pricing.cost.power_uw);
-  os << ' ';
-  write_hexdouble(os, pricing.cost.critical_delay_us);
-  os << ' ' << pricing.cost.cell_count << '\n';
-  os << "train_accuracy ";
-  write_hexdouble(os, pricing.train_accuracy);
-  os << '\n';
-  os << "test_accuracy ";
-  write_hexdouble(os, pricing.test_accuracy);
-  os << '\n';
-  save_quant_mlp(pricing.net, os);
-  os << "end\n";
-  check_stream(os, "save_baseline_pricing");
+  write_text(pricing, os);
 }
-
 BaselinePricing load_baseline_pricing(std::istream& is) {
-  expect_header(is, "pmlp-baseline", "load_baseline_pricing");
-  BaselinePricing p;
-  expect_tag(is, "cost", "load_baseline_pricing");
-  p.cost.area_mm2 = read_hexdouble(is, "load_baseline_pricing");
-  p.cost.power_uw = read_hexdouble(is, "load_baseline_pricing");
-  p.cost.critical_delay_us = read_hexdouble(is, "load_baseline_pricing");
-  if (!(is >> p.cost.cell_count) || p.cost.cell_count < 0) {
-    throw std::invalid_argument("load_baseline_pricing: bad cell_count");
-  }
-  expect_tag(is, "train_accuracy", "load_baseline_pricing");
-  p.train_accuracy = read_hexdouble(is, "load_baseline_pricing");
-  expect_tag(is, "test_accuracy", "load_baseline_pricing");
-  p.test_accuracy = read_hexdouble(is, "load_baseline_pricing");
-  p.net = load_quant_mlp(is);
-  expect_tag(is, "end", "load_baseline_pricing");
-  return p;
+  return read_text<BaselinePricing>(is);
 }
-
-// --------------------------------------------------------- training result
 
 void save_training_result(const TrainingResult& r, std::ostream& os) {
-  os << "pmlp-training v1\n";
-  os << "counters " << r.evaluations << ' ';
-  write_hexdouble(os, r.wall_seconds);
-  os << ' ';
-  write_hexdouble(os, r.baseline_train_accuracy);
-  os << ' ';
-  write_hexdouble(os, r.evals_per_second);
-  os << ' ' << r.cache_hits << ' ';
-  write_hexdouble(os, r.cache_hit_rate);
-  os << '\n';
-  os << "count " << r.estimated_pareto.size() << '\n';
-  for (const auto& p : r.estimated_pareto) {
-    os << "point ";
-    write_hexdouble(os, p.train_accuracy);
-    os << ' ' << p.fa_area << '\n';
-    write_model_embedded(p.model, os);
-  }
-  os << "end\n";
-  check_stream(os, "save_training_result");
+  write_text(r, os);
 }
-
 TrainingResult load_training_result(std::istream& is) {
-  expect_header(is, "pmlp-training", "load_training_result");
-  TrainingResult r;
-  expect_tag(is, "counters", "load_training_result");
-  if (!(is >> r.evaluations) || r.evaluations < 0) {
-    throw std::invalid_argument("load_training_result: bad counters");
-  }
-  r.wall_seconds = read_hexdouble(is, "load_training_result");
-  r.baseline_train_accuracy = read_hexdouble(is, "load_training_result");
-  r.evals_per_second = read_hexdouble(is, "load_training_result");
-  if (!(is >> r.cache_hits) || r.cache_hits < 0) {
-    throw std::invalid_argument("load_training_result: bad cache counters");
-  }
-  r.cache_hit_rate = read_hexdouble(is, "load_training_result");
-  expect_tag(is, "count", "load_training_result");
-  std::size_t count = 0;
-  if (!(is >> count) || count > (std::size_t{1} << 24)) {
-    throw std::invalid_argument("load_training_result: bad count");
-  }
-  r.estimated_pareto.reserve(count);
-  std::string tag;
-  while (is >> tag) {
-    if (tag == "end") {
-      if (r.estimated_pareto.size() != count) {
-        throw std::invalid_argument(
-            "load_training_result: point count mismatch");
-      }
-      return r;
-    }
-    if (tag != "point") {
-      throw std::invalid_argument("load_training_result: unknown tag " + tag);
-    }
-    EstimatedPoint p;
-    p.train_accuracy = read_hexdouble(is, "load_training_result");
-    if (!(is >> p.fa_area) || p.fa_area < 0) {
-      throw std::invalid_argument("load_training_result: bad fa_area");
-    }
-    p.model = read_model_embedded(is, "load_training_result");
-    r.estimated_pareto.push_back(std::move(p));
-  }
-  throw std::invalid_argument("load_training_result: missing end");
+  return read_text<TrainingResult>(is);
 }
-
-// -------------------------------------------------------- evaluated points
 
 void save_evaluated_points(std::span<const HwEvaluatedPoint> points,
                            std::ostream& os) {
-  os << "pmlp-evaluated v1\n";
-  os << "count " << points.size() << '\n';
-  for (const auto& p : points) {
-    os << "point ";
-    write_hexdouble(os, p.test_accuracy);
-    os << ' ' << p.fa_area << ' ' << (p.functional_match ? 1 : 0) << ' ';
-    write_hexdouble(os, p.cost.area_mm2);
-    os << ' ';
-    write_hexdouble(os, p.cost.power_uw);
-    os << ' ';
-    write_hexdouble(os, p.cost.critical_delay_us);
-    os << ' ' << p.cost.cell_count << '\n';
-    write_model_embedded(p.model, os);
-  }
-  os << "end\n";
-  check_stream(os, "save_evaluated_points");
+  std::span<HwEvaluatedPoint> view(
+      const_cast<HwEvaluatedPoint*>(points.data()), points.size());
+  Writer w(os);
+  describe_evaluated(w, view);  // the writer only reads
+  w.finish();
 }
-
 std::vector<HwEvaluatedPoint> load_evaluated_points(std::istream& is) {
-  expect_header(is, "pmlp-evaluated", "load_evaluated_points");
-  expect_tag(is, "count", "load_evaluated_points");
-  std::size_t count = 0;
-  if (!(is >> count) || count > (std::size_t{1} << 24)) {
-    throw std::invalid_argument("load_evaluated_points: bad count");
-  }
+  Reader r(is);
   std::vector<HwEvaluatedPoint> points;
-  points.reserve(count);
-  std::string tag;
-  while (is >> tag) {
-    if (tag == "end") {
-      if (points.size() != count) {
-        throw std::invalid_argument(
-            "load_evaluated_points: point count mismatch");
-      }
-      return points;
-    }
-    if (tag != "point") {
-      throw std::invalid_argument("load_evaluated_points: unknown tag " +
-                                  tag);
-    }
-    HwEvaluatedPoint p;
-    p.test_accuracy = read_hexdouble(is, "load_evaluated_points");
-    int match = 0;
-    if (!(is >> p.fa_area) || p.fa_area < 0) {
-      throw std::invalid_argument("load_evaluated_points: bad fa_area");
-    }
-    if (!(is >> match) || (match != 0 && match != 1)) {
-      throw std::invalid_argument(
-          "load_evaluated_points: bad functional_match");
-    }
-    p.functional_match = match == 1;
-    p.cost.area_mm2 = read_hexdouble(is, "load_evaluated_points");
-    p.cost.power_uw = read_hexdouble(is, "load_evaluated_points");
-    p.cost.critical_delay_us = read_hexdouble(is, "load_evaluated_points");
-    if (!(is >> p.cost.cell_count) || p.cost.cell_count < 0) {
-      throw std::invalid_argument("load_evaluated_points: bad cell_count");
-    }
-    p.model = read_model_embedded(is, "load_evaluated_points");
-    points.push_back(std::move(p));
-  }
-  throw std::invalid_argument("load_evaluated_points: missing end");
+  describe_evaluated(r, points);
+  return points;
 }
-
-// ------------------------------------------------------------ GA state
 
 void save_ga_state(const nsga2::GenerationState& state, std::ostream& os) {
-  os << "pmlp-ga-state v1\n";
-  os << "generation " << state.next_generation << '\n';
-  os << "evaluations " << state.evaluations << '\n';
-  // The mt19937_64 stream serialization is space-separated tokens; keep it
-  // on one tagged line so the reader can take the line verbatim.
-  os << "rng " << state.rng << '\n';
-  const std::size_t n_genes =
-      state.population.empty() ? 0 : state.population.front().genes.size();
-  const std::size_t n_obj = state.population.empty()
-                                ? 0
-                                : state.population.front().objectives.size();
-  os << "population " << state.population.size() << ' ' << n_genes << ' '
-     << n_obj << '\n';
-  for (const auto& ind : state.population) {
-    os << "ind " << ind.rank << ' ';
-    write_hexdouble(os, ind.crowding);
-    os << ' ';
-    write_hexdouble(os, ind.constraint_violation);
-    os << '\n';
-    os << "genes";
-    for (int g : ind.genes) os << ' ' << g;
-    os << '\n';
-    os << "obj";
-    for (double o : ind.objectives) {
-      os << ' ';
-      write_hexdouble(os, o);
-    }
-    os << '\n';
-  }
-  os << "end\n";
-  check_stream(os, "save_ga_state");
+  write_text(state, os);
 }
-
 nsga2::GenerationState load_ga_state(std::istream& is) {
-  expect_header(is, "pmlp-ga-state", "load_ga_state");
-  nsga2::GenerationState state;
-  expect_tag(is, "generation", "load_ga_state");
-  if (!(is >> state.next_generation) || state.next_generation < 0) {
-    throw std::invalid_argument("load_ga_state: bad generation");
-  }
-  expect_tag(is, "evaluations", "load_ga_state");
-  if (!(is >> state.evaluations) || state.evaluations < 0) {
-    throw std::invalid_argument("load_ga_state: bad evaluations");
-  }
-  expect_tag(is, "rng", "load_ga_state");
-  is >> std::ws;
-  if (!std::getline(is, state.rng) || state.rng.empty()) {
-    throw std::invalid_argument("load_ga_state: missing rng state");
-  }
-  while (!state.rng.empty() &&
-         (state.rng.back() == '\r' || state.rng.back() == ' ')) {
-    state.rng.pop_back();
-  }
-  expect_tag(is, "population", "load_ga_state");
-  std::size_t count = 0, n_genes = 0, n_obj = 0;
-  if (!(is >> count >> n_genes >> n_obj) || count > (std::size_t{1} << 20) ||
-      n_genes > (std::size_t{1} << 20) || n_obj > 16) {
-    throw std::invalid_argument("load_ga_state: bad population header");
-  }
-  state.population.reserve(count);
-  std::string tag;
-  while (is >> tag) {
-    if (tag == "end") {
-      if (state.population.size() != count) {
-        throw std::invalid_argument("load_ga_state: population count "
-                                    "mismatch");
-      }
-      return state;
-    }
-    if (tag != "ind") {
-      throw std::invalid_argument("load_ga_state: unknown tag " + tag);
-    }
-    nsga2::Individual ind;
-    if (!(is >> ind.rank) || ind.rank < -1) {
-      throw std::invalid_argument("load_ga_state: bad rank");
-    }
-    ind.crowding = read_hexdouble(is, "load_ga_state");
-    ind.constraint_violation = read_hexdouble(is, "load_ga_state");
-    expect_tag(is, "genes", "load_ga_state");
-    ind.genes.resize(n_genes);
-    for (std::size_t g = 0; g < n_genes; ++g) {
-      if (!(is >> ind.genes[g])) {
-        throw std::invalid_argument("load_ga_state: malformed genes");
-      }
-    }
-    expect_tag(is, "obj", "load_ga_state");
-    ind.objectives.resize(n_obj);
-    for (std::size_t m = 0; m < n_obj; ++m) {
-      ind.objectives[m] = read_hexdouble(is, "load_ga_state");
-    }
-    state.population.push_back(std::move(ind));
-  }
-  throw std::invalid_argument("load_ga_state: missing end");
+  return read_text<nsga2::GenerationState>(is);
 }
 
 // ------------------------------------------------------- checksum footers
@@ -1107,11 +1067,8 @@ std::vector<FrontEntry> load_front_tree(const std::string& dir) {
   std::sort(flows.begin(), flows.end());
   std::vector<FrontEntry> entries;
   for (const auto& flow : flows) {
-    std::ifstream is(root / flow / "evaluated.txt");
-    if (!is) {
-      throw std::runtime_error("load_front_tree: cannot read " +
-                               (root / flow / "evaluated.txt").string());
-    }
+    std::istringstream is(
+        read_artifact_file((root / flow / "evaluated.txt").string()));
     auto front = true_pareto(load_evaluated_points(is));
     for (std::size_t i = 0; i < front.size(); ++i) {
       char name[40];

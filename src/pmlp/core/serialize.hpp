@@ -1,19 +1,39 @@
-// Plain-text serialization of every artifact the Fig. 2 flow hands between
-// stages, so a FlowEngine run can checkpoint after any stage and resume
-// bit-identically. All formats are versioned, line-oriented text files —
-// stable, diffable, and independent of float formatting (doubles are stored
-// as C hexfloats, which round-trip exactly):
+// Plain-text serialization of every artifact the Fig. 2 flow and its
+// campaigns hand between stages and processes, so a FlowEngine run can
+// checkpoint after any stage and resume bit-identically. All formats are
+// versioned, line-oriented text files — stable, diffable, and independent of
+// float formatting (doubles are stored as C hexfloats, which round-trip
+// exactly). Each format is described ONCE in serialize.cpp as a field list
+// (header, tags, bounded integers, hexfloats, rest-of-line strings, counted
+// lists, embedded model blocks); its writer and its reader are both derived
+// from that description, so a save can never drift from its load.
 //
-//   pmlp-approx-mlp v1      trained approximate MLP (the original format)
-//   pmlp-dataset v1         normalized float dataset (split halves)
-//   pmlp-quant-dataset v1   4-bit quantized dataset
-//   pmlp-float-mlp v1       gradient-trained float reference net
-//   pmlp-quant-mlp v1       exact bespoke quantized baseline [2]
-//   pmlp-baseline v1        baseline stage: quant net + pricing + accuracy
-//   pmlp-training v1        GA/refine stage output: counters + Pareto set
-//   pmlp-evaluated v1       hardware-evaluated candidates (cost + verdict)
+//   magic                   file                  written by
+//   pmlp-approx-mlp v1      *.model, embedded     save_model (+ training/
+//                                                 evaluated sets)
+//   pmlp-dataset v1         train_raw.ds          split stage
+//                           test_raw.ds
+//   pmlp-quant-dataset v1   train.qds, test.qds   split stage
+//   pmlp-float-mlp v1       float_net.txt         backprop stage
+//   pmlp-quant-mlp v1       embedded              baseline set
+//   pmlp-baseline v1        baseline.txt          baseline stage
+//   pmlp-training v1        ga_front.txt          GA stage
+//                           refined_front.txt     refine stage
+//   pmlp-evaluated v1       evaluated.txt         hardware stage
+//   pmlp-ga-state v1        ga_state.txt          GA generation checkpoint
+//   pmlp-flow-meta v1       meta.txt              FlowEngine (resume guard)
+//   pmlp-campaign v1        campaign.txt          campaign coordinator
+//   pmlp-claim v1           claim.lock            worker lease (O_EXCL)
+//   pmlp-beat v1            beat.txt              worker heartbeat
+//   pmlp-failures v1        failures.txt          worker failure counter
+//   pmlp-done v1            done.txt              CampaignRunner/Worker
+//   pmlp-failed v1          failed.txt            worker terminal failure
 //
-// The approx-mlp v1 layout is unchanged from the original release:
+// Every line starts with a tag. The approx-mlp v1 layout is unchanged from
+// the original release and, alone among the formats, runs to end of input
+// (or to `endmodel` when embedded after a `model` line in a training or
+// evaluated set); its reader still takes the self-addressed body lines in
+// any order and any subset:
 //
 //   pmlp-approx-mlp v1
 //   topology 10 3 2
@@ -24,9 +44,8 @@
 //   bias <out> <value>
 //   ...
 //
-// Every *new* format is terminated by an `end` line so artifacts can be
-// embedded in enclosing files (the training/evaluated sets embed one
-// approx-mlp block per point, terminated by `endmodel`).
+// Every other format is terminated by an `end` line and its reader accepts
+// exactly the line order its writer emits.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +77,10 @@ void save_model_file(const ApproxMlp& net, const std::string& path);
 
 // ---------------------------------------------------------------- artifacts
 // FlowEngine checkpoint artifacts. All loaders throw std::invalid_argument
-// on malformed input (bad magic/version, shape mismatches, out-of-range
-// values, missing `end` terminator); all writers throw std::runtime_error
-// on stream failure. Loaded artifacts are bit-identical to what was saved.
+// on malformed input (bad magic/version, lines out of order, shape
+// mismatches, out-of-range values, missing `end` terminator), prefixed with
+// the format's magic; all writers throw std::runtime_error on stream
+// failure. Loaded artifacts are bit-identical to what was saved.
 
 void save_dataset(const datasets::Dataset& d, std::ostream& os);
 [[nodiscard]] datasets::Dataset load_dataset(std::istream& is);
@@ -98,6 +118,53 @@ void save_evaluated_points(std::span<const HwEvaluatedPoint> points,
 /// generation block instead of from scratch.
 void save_ga_state(const nsga2::GenerationState& state, std::ostream& os);
 [[nodiscard]] nsga2::GenerationState load_ga_state(std::istream& is);
+
+// ------------------------------------------------------ campaign-tree records
+// Small records that FlowEngine and the campaign workers keep beside the
+// stage artifacts (worker.hpp describes the protocol they implement).
+
+struct CampaignManifest;                    // campaign.txt (worker.hpp)
+namespace lease { struct ClaimInfo; }       // claim.lock (worker.hpp)
+
+/// meta.txt: the dataset and flow config a checkpoint directory belongs to.
+struct FlowMeta {
+  std::string dataset;
+  std::uint64_t digest = 0;  ///< dataset_digest()
+  std::uint64_t config = 0;  ///< FlowEngine::config_fingerprint()
+};
+
+/// beat.txt: the lease holder's heartbeat counter.
+struct BeatRecord {
+  std::string worker;
+  long count = 0;
+};
+
+/// failures.txt: consecutive failed claims of a flow and the last error.
+struct FailureRecord {
+  int count = 0;
+  std::string error;
+};
+
+/// done.txt: a finished flow ("-" when an in-process campaign wrote it).
+struct DoneMarker {
+  std::string worker;
+};
+
+/// failed.txt: a flow marked terminally failed.
+struct FailedMarker {
+  std::string worker;
+  std::string error;
+};
+
+/// Codec entry points for the records above, CampaignManifest and
+/// lease::ClaimInfo (explicitly instantiated for exactly those types).
+/// Same contract as the artifact functions: the writer throws
+/// std::runtime_error on stream failure, the reader std::invalid_argument
+/// on malformed input. Multi-line error strings are written on one line.
+template <class T>
+void save_record(const T& record, std::ostream& os);
+template <class T>
+[[nodiscard]] T load_record(std::istream& is);
 
 // ------------------------------------------------------- checksum footers
 // Versioned artifacts carry a trailing self-describing checksum line
@@ -168,7 +235,9 @@ struct FrontEntry {
 /// subdirectory holding an evaluated.txt contributes its true-Pareto subset
 /// as entries named "<flow>/front_NNN.model". Flows that have not reached
 /// the hardware stage yet are skipped (a live campaign can be served while
-/// it runs); an empty result throws std::runtime_error.
+/// it runs); an empty result throws std::runtime_error. Each evaluated.txt
+/// goes through read_artifact_file, so a damaged one throws
+/// std::invalid_argument instead of serving a corrupt point.
 [[nodiscard]] std::vector<FrontEntry> load_front_tree(const std::string& dir);
 
 /// Serve-path entry point: a directory with an index.tsv loads as a front

@@ -66,58 +66,24 @@ std::string read_file_raw(const std::string& path) {
   return os.str();
 }
 
-/// One-line terminal markers / failure records go through the same
-/// fsync+footer commit as stage artifacts.
-void write_marker(const std::string& path,
-                  const std::function<void(std::ostream&)>& writer) {
-  write_artifact_file(path, writer);
+/// Commit one campaign-tree record through the same fsync+footer path as
+/// the stage artifacts.
+template <class T>
+void write_record_file(const std::string& path, const T& record) {
+  write_artifact_file(path,
+                      [&](std::ostream& os) { save_record(record, os); });
 }
-
-std::string single_line(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  return out;
-}
-
-/// failures.txt: consecutive failed-claim counter + last error.
-struct FailureRecord {
-  int count = 0;
-  std::string error;
-};
 
 FailureRecord read_failures(const std::string& flow_dir) {
-  FailureRecord rec;
   const std::string path = (fs::path(flow_dir) / kFailuresFile).string();
   std::error_code ec;
-  if (!fs::exists(path, ec)) return rec;
+  if (!fs::exists(path, ec)) return {};
   try {
     std::istringstream is(read_artifact_file(path));
-    std::string magic, version, tag;
-    if (!(is >> magic >> version) || magic != "pmlp-failures" ||
-        version != "v1" || !(is >> tag >> rec.count) || tag != "count" ||
-        rec.count < 0) {
-      return FailureRecord{};  // damaged record: treat as zero failures
-    }
-    if (is >> tag && tag == "error") {
-      is >> std::ws;
-      std::getline(is, rec.error);
-    }
+    return load_record<FailureRecord>(is);
   } catch (const std::exception&) {
-    return FailureRecord{};
+    return {};  // damaged record: treat as zero failures
   }
-  return rec;
-}
-
-void write_failures(const std::string& flow_dir, const FailureRecord& rec) {
-  write_marker((fs::path(flow_dir) / kFailuresFile).string(),
-               [&](std::ostream& os) {
-                 os << "pmlp-failures v1\n";
-                 os << "count " << rec.count << '\n';
-                 os << "error " << single_line(rec.error) << '\n';
-                 os << "end\n";
-               });
 }
 
 }  // namespace
@@ -127,19 +93,7 @@ void write_failures(const std::string& flow_dir, const FailureRecord& rec) {
 void save_campaign_manifest(const CampaignManifest& m,
                             const std::string& root) {
   fs::create_directories(root);
-  write_artifact_file(
-      (fs::path(root) / kManifestFile).string(), [&](std::ostream& os) {
-        os << "pmlp-campaign v1\n";
-        os << "population " << m.population << '\n';
-        os << "generations " << m.generations << '\n';
-        os << "ga_checkpoint " << m.ga_checkpoint << '\n';
-        os << "flows " << m.flows.size() << '\n';
-        for (const auto& f : m.flows) {
-          os << "flow " << f.name << ' ' << f.dataset << ' ' << f.seed
-             << '\n';
-        }
-        os << "end\n";
-      });
+  write_record_file((fs::path(root) / kManifestFile).string(), m);
 }
 
 CampaignManifest load_campaign_manifest(const std::string& root) {
@@ -149,40 +103,13 @@ CampaignManifest load_campaign_manifest(const std::string& root) {
         "no campaign manifest (campaign.txt) under '" + root +
         "' — start the tree with `pmlp campaign --checkpoint " + root + "`");
   }
-  std::istringstream is(read_artifact_file(path));
-  const auto bad = [&](const std::string& why) {
-    return std::invalid_argument("malformed campaign manifest " + path +
-                                 ": " + why);
-  };
-  CampaignManifest m;
-  std::string magic, version, tag;
-  if (!(is >> magic >> version) || magic != "pmlp-campaign" ||
-      version != "v1") {
-    throw bad("bad magic/version");
+  try {
+    std::istringstream is(read_artifact_file(path));
+    return load_record<CampaignManifest>(is);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("malformed campaign manifest " + path + ": " +
+                                e.what());
   }
-  std::size_t count = 0;
-  if (!(is >> tag >> m.population) || tag != "population" ||
-      m.population <= 0 || !(is >> tag >> m.generations) ||
-      tag != "generations" || m.generations <= 0 ||
-      !(is >> tag >> m.ga_checkpoint) || tag != "ga_checkpoint" ||
-      m.ga_checkpoint < 0 || !(is >> tag >> count) || tag != "flows" ||
-      count > (1u << 20)) {
-    throw bad("bad header fields");
-  }
-  m.flows.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    CampaignManifestFlow f;
-    if (!(is >> tag >> f.name >> f.dataset >> f.seed) || tag != "flow" ||
-        f.name.empty()) {
-      throw bad("bad flow row " + std::to_string(i));
-    }
-    for (const auto& prev : m.flows) {
-      if (prev.name == f.name) throw bad("duplicate flow '" + f.name + "'");
-    }
-    m.flows.push_back(std::move(f));
-  }
-  if (!(is >> tag) || tag != "end") throw bad("missing end");
-  return m;
 }
 
 // ------------------------------------------------------------------ leases
@@ -201,11 +128,7 @@ bool try_claim(const std::string& flow_dir, const std::string& worker_id) {
                              std::strerror(errno));
   }
   std::ostringstream body;
-  body << "pmlp-claim v1\n";
-  body << "worker " << worker_id << '\n';
-  body << "host " << host_name() << '\n';
-  body << "pid " << ::getpid() << '\n';
-  body << "end\n";
+  save_record(ClaimInfo{worker_id, host_name(), ::getpid(), ""}, body);
   const std::string text = body.str();
   const char* p = text.data();
   std::size_t left = text.size();
@@ -237,19 +160,15 @@ std::optional<ClaimInfo> read_claim(const std::string& flow_dir) {
   const std::string raw = read_file_raw(path);
   if (raw.empty()) return std::nullopt;
   ClaimInfo info;
-  info.raw = raw;
-  std::istringstream is(raw);
-  std::string magic, version, tag;
-  if (!(is >> magic >> version) || magic != "pmlp-claim" || version != "v1" ||
-      !(is >> tag >> info.worker) || tag != "worker" ||
-      !(is >> tag >> info.host) || tag != "host" ||
-      !(is >> tag >> info.pid) || tag != "pid") {
+  try {
+    std::istringstream is(raw);
+    info = load_record<ClaimInfo>(is);
+  } catch (const std::invalid_argument&) {
     // Unparsable (e.g. torn by a crashed writer): still return the raw
     // snapshot — staleness judgment works on bytes, not fields.
-    info.worker.clear();
-    info.host.clear();
-    info.pid = -1;
+    info = ClaimInfo{};
   }
+  info.raw = raw;
   return info;
 }
 
@@ -260,13 +179,12 @@ void write_beat(const std::string& flow_dir, const std::string& worker_id,
       (dir / (std::string(kBeatFile) + "." + sanitize(worker_id) + ".tmp"))
           .string();
   const std::string path = (dir / kBeatFile).string();
+  std::ostringstream body;
+  save_record(BeatRecord{worker_id, count}, body);
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     if (!os) return;  // heartbeat is best-effort; the lease just ages
-    os << "pmlp-beat v1\n"
-       << "worker " << worker_id << '\n'
-       << "count " << count << '\n'
-       << "end\n";
+    os << body.str();
     os.flush();
     if (!os) {
       os.close();
@@ -527,12 +445,7 @@ bool CampaignWorker::Impl::run_one_claim(std::size_t i,
       FaultInjector::instance().maybe_kill_at_stage(
           flow_stage_name(*stage));
     } else if (!lease_lost.load()) {
-      write_marker((fs::path(dir) / kDoneFile).string(),
-                   [&](std::ostream& os) {
-                     os << "pmlp-done v1\n";
-                     os << "worker " << id << '\n';
-                     os << "end\n";
-                   });
+      write_record_file((fs::path(dir) / kDoneFile).string(), DoneMarker{id});
       ++report.flows_completed;
       progressed = true;
     }
@@ -546,15 +459,10 @@ bool CampaignWorker::Impl::run_one_claim(std::size_t i,
       FailureRecord rec = read_failures(dir);
       ++rec.count;
       rec.error = e.what();
-      write_failures(dir, rec);
+      write_record_file((fs::path(dir) / kFailuresFile).string(), rec);
       if (rec.count >= cfg.max_failures) {
-        write_marker((fs::path(dir) / kFailedFile).string(),
-                     [&](std::ostream& os) {
-                       os << "pmlp-failed v1\n";
-                       os << "worker " << id << '\n';
-                       os << "error " << single_line(rec.error) << '\n';
-                       os << "end\n";
-                     });
+        write_record_file((fs::path(dir) / kFailedFile).string(),
+                          FailedMarker{id, rec.error});
         ++report.flows_failed;
       }
       progressed = true;  // the failure record itself advanced the tree

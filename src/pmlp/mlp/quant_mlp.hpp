@@ -52,6 +52,8 @@ class QuantMlp {
 
   [[nodiscard]] const Topology& topology() const { return topology_; }
   [[nodiscard]] const std::vector<QuantLayer>& layers() const { return layers_; }
+  /// Parameter access for checkpoint deserialization (shapes stay fixed).
+  [[nodiscard]] std::vector<QuantLayer>& layers() { return layers_; }
   [[nodiscard]] int weight_bits() const { return weight_bits_; }
   [[nodiscard]] int activation_bits() const { return activation_bits_; }
 

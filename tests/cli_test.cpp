@@ -118,6 +118,22 @@ TEST(Cli, GarbledGenerationsRejected) {
   expect_usage_error(r, "positive int");
 }
 
+TEST(Cli, ExtraPositionalArgumentsRejected) {
+  expect_usage_error(run_cli("list foo bar"), "unexpected 'foo'");
+  expect_usage_error(run_cli("metrics Cardio extra"), "unexpected 'extra'");
+  // Rejected before any training starts.
+  const auto r = run_cli("campaign --datasets BreastCancer 8 1 9");
+  expect_usage_error(r, "unexpected '9'");
+  EXPECT_EQ(r.out.find("stage"), std::string::npos) << r.out;
+}
+
+TEST(Cli, RemovedSubcommandsAreUnknown) {
+  expect_usage_error(run_cli("export x.model BreastCancer out"),
+                     "unknown subcommand 'export'");
+  expect_usage_error(run_cli("train BreastCancer 8 1"),
+                     "unknown subcommand 'train'");
+}
+
 TEST(Cli, MissingOptionValueRejected) {
   for (const char* flag : {"--datasets", "--seeds", "--threads", "--json"}) {
     const auto r = run_cli(std::string("campaign ") + flag);

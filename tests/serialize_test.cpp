@@ -7,12 +7,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <random>
+#include <sstream>
 
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/refine.hpp"
 #include "pmlp/core/serialize.hpp"
+#include "pmlp/core/worker.hpp"
 #include "pmlp/datasets/synthetic.hpp"
 #include "pmlp/mlp/backprop.hpp"
 #include "pmlp/nsga2/nsga2.hpp"
@@ -549,6 +552,350 @@ TEST(SerializeArtifacts, GaStateRoundTripExact) {
   std::string bad = good;
   bad.replace(bad.find("population 4"), 12, "population 5");
   EXPECT_THROW((void)parse(bad), std::invalid_argument);
+}
+
+// ------------------------------------------------------------ golden bytes
+// One small hand-built instance per format, compared byte for byte with a
+// reference text. The bytes are a compatibility contract (existing
+// checkpoint trees must keep resuming), so a writer change that alters any
+// byte fails here first; each literal also re-parses and re-writes to itself.
+
+namespace {
+
+core::ApproxMlp golden_model() {
+  core::ApproxMlp net(mlp::Topology{{2, 1, 2}}, core::BitConfig{});
+  auto& l0 = net.layers()[0];
+  l0.conn(0, 0) = {5, 1, 2};
+  l0.conn(0, 1) = {15, -1, 0};
+  l0.biases[0] = -7;
+  auto& l1 = net.layers()[1];
+  l1.conn(0, 0) = {255, 1, 6};
+  l1.conn(1, 0) = {0, -1, 3};
+  l1.biases[0] = 2047;
+  l1.biases[1] = -2048;
+  net.update_qrelu_shifts();
+  return net;
+}
+
+mlp::QuantMlp golden_quant_mlp() {
+  std::vector<mlp::QuantLayer> layers(2);
+  layers[0] = {2, 1, 4, 0, {-128, 127}, {-9}};
+  layers[1] = {1, 2, 8, 5, {3, -4}, {100000, -1}};
+  return mlp::QuantMlp(mlp::Topology{{2, 1, 2}}, std::move(layers), 8, 8);
+}
+
+const char* const kGoldenModel =
+    "pmlp-approx-mlp v1\n"
+    "topology 2 1 2\n"
+    "bits 8 4 8 12\n"
+    "layer 0\n"
+    "conn 0 0 5 1 2\n"
+    "conn 0 1 15 -1 0\n"
+    "bias 0 -7\n"
+    "layer 1\n"
+    "conn 0 0 255 1 6\n"
+    "conn 1 0 0 -1 3\n"
+    "bias 0 2047\n"
+    "bias 1 -2048\n";
+
+const char* const kGoldenQuantMlp =
+    "pmlp-quant-mlp v1\n"
+    "topology 3 2 1 2\n"
+    "bits 8 8\n"
+    "layer 0 4 0\n"
+    "w 0 -128 127\n"
+    "b 0 -9\n"
+    "layer 1 8 5\n"
+    "w 0 3\n"
+    "w 1 -4\n"
+    "b 0 100000\n"
+    "b 1 -1\n"
+    "end\n";
+
+const std::string kFailure =
+    "FlowEngine: malformed checkpoint meta ftree/BreastCancer_s1/meta.txt";
+
+struct Golden {
+  const char* name;
+  std::string written;
+  std::string expected;
+  std::function<std::string(const std::string&)> reparse;
+};
+
+/// Writer output of `value` plus a parse-then-rewrite of any text.
+template <typename T, typename Save, typename Load>
+Golden golden(const char* name, const T& value, const std::string& expected,
+              Save save, Load load) {
+  return {name, dump(value, save), expected,
+          [save, load](const std::string& text) {
+            std::istringstream is(text);
+            return dump(load(is), save);
+          }};
+}
+
+template <typename T>
+Golden golden_record(const char* name, const T& value,
+                     const std::string& expected) {
+  return golden(
+      name, value, expected,
+      [](const T& v, std::ostream& os) { core::save_record(v, os); },
+      [](std::istream& is) { return core::load_record<T>(is); });
+}
+
+std::vector<Golden> golden_artifacts() {
+  std::vector<Golden> g;
+  g.push_back(golden(
+      "approx-mlp", golden_model(), kGoldenModel,
+      [](const core::ApproxMlp& v, std::ostream& os) {
+        core::save_model(v, os);
+      },
+      [](std::istream& is) { return core::load_model(is); }));
+
+  ds::Dataset d;
+  d.name = "tiny set";
+  d.n_features = 2;
+  d.n_classes = 2;
+  d.features = {0.1, 1.0, 1e-17, 0.0};
+  d.labels = {1, 0};
+  g.push_back(golden("dataset", d,
+                     "pmlp-dataset v1\n"
+                     "name tiny set\n"
+                     "shape 2 2 2\n"
+                     "row 1 0x1.999999999999ap-4 0x1p+0\n"
+                     "row 0 0x1.70ef54646d497p-57 0x0p+0\n"
+                     "end\n",
+                     core::save_dataset, core::load_dataset));
+
+  ds::QuantizedDataset q;
+  q.n_features = 2;
+  q.n_classes = 3;
+  q.input_bits = 4;
+  q.codes = {0, 15, 7, 8};
+  q.labels = {2, 0};
+  g.push_back(golden("quant-dataset", q,
+                     "pmlp-quant-dataset v1\n"
+                     "name -\n"
+                     "shape 2 3 4 2\n"
+                     "row 2 0 15\n"
+                     "row 0 7 8\n"
+                     "end\n",
+                     core::save_quant_dataset, core::load_quant_dataset));
+
+  mlp::FloatMlp f(mlp::Topology{{2, 1, 2}}, 0);
+  f.layers()[0].weights = {0.5, -1.25};
+  f.layers()[0].biases = {0.1};
+  f.layers()[1].weights = {3.0, -0.0};
+  f.layers()[1].biases = {1e-300, -2.5};
+  g.push_back(golden("float-mlp", f,
+                     "pmlp-float-mlp v1\n"
+                     "topology 3 2 1 2\n"
+                     "layer 0\n"
+                     "w 0 0x1p-1 -0x1.4p+0\n"
+                     "b 0 0x1.999999999999ap-4\n"
+                     "layer 1\n"
+                     "w 0 0x1.8p+1\n"
+                     "w 1 -0x0p+0\n"
+                     "b 0 0x1.56e1fc2f8f359p-997\n"
+                     "b 1 -0x1.4p+1\n"
+                     "end\n",
+                     core::save_float_mlp, core::load_float_mlp));
+
+  g.push_back(golden("quant-mlp", golden_quant_mlp(), kGoldenQuantMlp,
+                     core::save_quant_mlp, core::load_quant_mlp));
+
+  core::BaselinePricing p;
+  p.net = golden_quant_mlp();
+  p.cost = {123.5, 4500.0, 7.25, 999};
+  p.train_accuracy = 0.875;
+  p.test_accuracy = 0.8333333333333333;
+  g.push_back(golden("baseline", p,
+                     std::string("pmlp-baseline v1\n"
+                                 "cost 0x1.eep+6 0x1.194p+12 0x1.dp+2 999\n"
+                                 "train_accuracy 0x1.cp-1\n"
+                                 "test_accuracy 0x1.aaaaaaaaaaaaap-1\n") +
+                         kGoldenQuantMlp + "end\n",
+                     core::save_baseline_pricing,
+                     core::load_baseline_pricing));
+
+  core::TrainingResult t;
+  t.evaluations = 1234;
+  t.wall_seconds = 0.125;
+  t.baseline_train_accuracy = 0.9;
+  t.evals_per_second = 9876.5;
+  t.cache_hits = 77;
+  t.cache_hit_rate = 0.25;
+  t.estimated_pareto.push_back({golden_model(), 0.75, 42});
+  g.push_back(golden(
+      "training", t,
+      std::string("pmlp-training v1\n"
+                  "counters 1234 0x1p-3 0x1.ccccccccccccdp-1 0x1.34a4p+13 77 "
+                  "0x1p-2\n"
+                  "count 1\n"
+                  "point 0x1.8p-1 42\n"
+                  "model\n") +
+          kGoldenModel + "endmodel\nend\n",
+      core::save_training_result, core::load_training_result));
+
+  core::HwEvaluatedPoint hp;
+  hp.model = golden_model();
+  hp.test_accuracy = 0.5;
+  hp.fa_area = 9;
+  hp.functional_match = false;
+  hp.cost = {1.5, 2500.0, 12.0, 321};
+  g.push_back(golden(
+      "evaluated", std::vector<core::HwEvaluatedPoint>{hp},
+      std::string("pmlp-evaluated v1\n"
+                  "count 1\n"
+                  "point 0x1p-1 9 0 0x1.8p+0 0x1.388p+11 0x1.8p+3 321\n"
+                  "model\n") +
+          kGoldenModel + "endmodel\nend\n",
+      [](const auto& v, std::ostream& os) {
+        core::save_evaluated_points(v, os);
+      },
+      [](std::istream& is) { return core::load_evaluated_points(is); }));
+
+  nsga2::GenerationState st;
+  st.next_generation = 3;
+  st.evaluations = 48;
+  st.rng = "5489 17 4242";
+  st.population.resize(2);
+  st.population[0].genes = {1, -2, 3};
+  st.population[0].objectives = {0.5, 12.0};
+  st.population[0].rank = 0;
+  st.population[0].crowding = std::numeric_limits<double>::infinity();
+  st.population[1].genes = {0, 0, 7};
+  st.population[1].objectives = {0.25, 3.0};
+  st.population[1].constraint_violation = 0.125;
+  st.population[1].rank = 1;
+  st.population[1].crowding = 0.75;
+  g.push_back(golden("ga-state", st,
+                     "pmlp-ga-state v1\n"
+                     "generation 3\n"
+                     "evaluations 48\n"
+                     "rng 5489 17 4242\n"
+                     "population 2 3 2\n"
+                     "ind 0 inf 0x0p+0\n"
+                     "genes 1 -2 3\n"
+                     "obj 0x1p-1 0x1.8p+3\n"
+                     "ind 1 0x1.8p-1 0x1p-3\n"
+                     "genes 0 0 7\n"
+                     "obj 0x1p-2 0x1.8p+1\n"
+                     "end\n",
+                     core::save_ga_state, core::load_ga_state));
+
+  g.push_back(golden_record(
+      "flow-meta",
+      core::FlowMeta{"Cardio", 12455177774272030355ull, 3519310273943452005ull},
+      "pmlp-flow-meta v1\n"
+      "dataset Cardio\n"
+      "digest 12455177774272030355\n"
+      "config 3519310273943452005\n"
+      "end\n"));
+
+  core::CampaignManifest m;
+  m.population = 24;
+  m.generations = 8;
+  m.ga_checkpoint = 2;
+  m.flows = {{"Cardio_s1", "Cardio", 1}, {"Cardio_s2", "Cardio", 2}};
+  g.push_back(golden_record(
+      "campaign", m,
+      "pmlp-campaign v1\n"
+      "population 24\n"
+      "generations 8\n"
+      "ga_checkpoint 2\n"
+      "flows 2\n"
+      "flow Cardio_s1 Cardio 1\n"
+      "flow Cardio_s2 Cardio 2\n"
+      "end\n"));
+
+  g.push_back(golden_record(
+      "claim", core::lease::ClaimInfo{"w1", "vm", 609, ""},
+      "pmlp-claim v1\nworker w1\nhost vm\npid 609\nend\n"));
+  g.push_back(golden_record("beat", core::BeatRecord{"w1", 7},
+                            "pmlp-beat v1\nworker w1\ncount 7\nend\n"));
+  g.push_back(golden_record("failures", core::FailureRecord{1, kFailure},
+                            "pmlp-failures v1\ncount 1\nerror " + kFailure +
+                                "\nend\n"));
+  g.push_back(golden_record("done", core::DoneMarker{"wX"},
+                            "pmlp-done v1\nworker wX\nend\n"));
+  g.push_back(golden_record("failed", core::FailedMarker{"wX", kFailure},
+                            "pmlp-failed v1\nworker wX\nerror " + kFailure +
+                                "\nend\n"));
+  return g;
+}
+
+}  // namespace
+
+TEST(SerializeGolden, EveryFormatWritesItsReferenceBytes) {
+  const auto formats = golden_artifacts();
+  EXPECT_EQ(formats.size(), 16u);
+  for (const auto& f : formats) {
+    SCOPED_TRACE(f.name);
+    EXPECT_EQ(f.written, f.expected);
+    EXPECT_EQ(f.reparse(f.expected), f.expected);
+  }
+}
+
+TEST(SerializeGolden, ManifestFileCarriesItsChecksumFooter) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pmlp_golden_manifest_" + std::to_string(::getpid()));
+  core::CampaignManifest m;
+  m.population = 24;
+  m.generations = 8;
+  m.ga_checkpoint = 2;
+  m.flows = {{"Cardio_s1", "Cardio", 1}, {"Cardio_s2", "Cardio", 2}};
+  core::save_campaign_manifest(m, dir.string());
+  std::ifstream is(dir / "campaign.txt", std::ios::binary);
+  std::stringstream text;
+  text << is.rdbuf();
+  EXPECT_EQ(text.str(),
+            "pmlp-campaign v1\n"
+            "population 24\n"
+            "generations 8\n"
+            "ga_checkpoint 2\n"
+            "flows 2\n"
+            "flow Cardio_s1 Cardio 1\n"
+            "flow Cardio_s2 Cardio 2\n"
+            "end\n"
+            "# crc32 5f9ca27f lines 8\n");
+  fs::remove_all(dir);
+}
+
+TEST(SerializeGolden, RecordsRejectMalformedText) {
+  auto parse_failures = [](const std::string& text) {
+    std::istringstream is(text);
+    return core::load_record<core::FailureRecord>(is);
+  };
+  EXPECT_THROW((void)parse_failures("pmlp-failures v2\n"),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)parse_failures("pmlp-failures v1\ncount -1\nerror x\nend\n"),
+      std::invalid_argument);
+  EXPECT_THROW((void)parse_failures("pmlp-failures v1\ncount 1\nerror x\n"),
+               std::invalid_argument);  // missing end
+  // An empty error keeps its (empty) line instead of swallowing `end`.
+  EXPECT_EQ(parse_failures("pmlp-failures v1\ncount 2\nerror \nend\n").count,
+            2);
+  // Multi-line errors are flattened onto their one line.
+  std::ostringstream os;
+  core::save_record(core::FailedMarker{"w", "a\nb\r"}, os);
+  EXPECT_EQ(os.str(), "pmlp-failed v1\nworker w\nerror a b \nend\n");
+
+  auto parse_meta = [](const std::string& text) {
+    std::istringstream is(text);
+    return core::load_record<core::FlowMeta>(is);
+  };
+  EXPECT_EQ(parse_meta("pmlp-flow-meta v1\ndataset red wine\ndigest 1\n"
+                       "config 2\nend\n")
+                .dataset,
+            "red wine");
+  EXPECT_THROW((void)parse_meta("pmlp-flow-meta v1\ndataset x\nconfig 2\n"
+                                "digest 1\nend\n"),
+               std::invalid_argument);  // lines out of order
+  EXPECT_THROW((void)parse_meta("pmlp-flow-meta v1\ndataset x\ndigest z\n"
+                                "config 2\nend\n"),
+               std::invalid_argument);
 }
 
 // --------------------------------------------- crash-truncation property

@@ -187,6 +187,45 @@ TEST(LoadFrontTree, ServesCampaignCheckpointFlows) {
   EXPECT_EQ(reply.file, "ds_s2/front_001.model");
 }
 
+TEST(LoadFrontTree, DamagedEvaluatedSetRejectedAndReloadKeepsOldFront) {
+  TempDir tmp("pmlp_serve", "tree_crc");
+  const fs::path evaluated = tmp.path / "ds_s1" / "evaluated.txt";
+  fs::create_directories(evaluated.parent_path());
+  std::vector<core::HwEvaluatedPoint> pts(1);
+  pts[0].model = make_model(kTopo, 21);
+  pts[0].test_accuracy = 0.75;
+  pts[0].cost.area_mm2 = 10.0;
+  core::write_artifact_file(evaluated.string(), [&](std::ostream& os) {
+    core::save_evaluated_points(pts, os);
+  });
+  core::FrontServer server(tmp.path.string(), {.n_threads = 1});
+  ASSERT_EQ(server.models().size(), 1u);
+
+  // One hex digit of the point's test_accuracy changes: the file still
+  // parses, only its crc32 footer can tell.
+  std::string text;
+  {
+    std::ifstream is(evaluated, std::ios::binary);
+    std::stringstream ss;
+    ss << is.rdbuf();
+    text = ss.str();
+  }
+  const auto pos = text.find("point 0x1.8p-1");
+  ASSERT_NE(pos, std::string::npos) << text;
+  text[pos + 10] = '9';
+  std::ofstream(evaluated, std::ios::binary | std::ios::trunc) << text;
+
+  EXPECT_THROW((void)core::load_front_tree(tmp.path.string()),
+               std::invalid_argument);
+  EXPECT_THROW((void)server.reload(), std::invalid_argument);
+  const auto models = server.models();
+  ASSERT_EQ(models.size(), 1u);
+  EXPECT_EQ(models[0].test_accuracy, 0.75);  // the old front keeps serving
+  std::mt19937_64 rng(3);
+  EXPECT_TRUE(
+      server.classify("ds_s1/front_000.model", random_codes(6, rng)).ok);
+}
+
 // ------------------------------------------------------------ serve oracle
 
 TEST(FrontServer, AnswersBitIdenticalToCompiledNetForEveryModel) {

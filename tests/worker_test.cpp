@@ -268,6 +268,28 @@ TEST(Worker, DrainsGridBitIdenticalToIndependentFlows) {
   }
 }
 
+std::string read_file(const fs::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+// done.txt has two writers — the worker that finishes a flow and the
+// in-process CampaignRunner — and both must keep the reference bytes.
+TEST(Worker, DoneMarkersMatchGoldenBytes) {
+  TempDir dir("done_golden");
+  core::save_campaign_manifest(grid_manifest(), dir.path.string());
+  core::CampaignWorker worker(grid(), worker_cfg(dir, "solo"));
+  ASSERT_EQ(worker.run().flows_completed, 2);
+  EXPECT_EQ(read_file(dir.path / "bc_s1" / "done.txt"),
+            "pmlp-done v1\nworker solo\nend\n# crc32 0bdce1bf lines 3\n");
+
+  ASSERT_TRUE(reload_tree(dir).all_ok());
+  EXPECT_EQ(read_file(dir.path / "bc_s1" / "done.txt"),
+            "pmlp-done v1\nworker -\nend\n# crc32 88710705 lines 3\n");
+}
+
 TEST(Worker, TwoConcurrentWorkersCooperate) {
   TempDir dir("pair");
   core::save_campaign_manifest(grid_manifest(), dir.path.string());

@@ -11,12 +11,8 @@
 //                                     like run, but requires an existing
 //                                     --checkpoint DIR and continues from
 //                                     whatever stages are already on disk
-//   pmlp train <dataset> [pop] [gens] [model-out]
-//                                     legacy alias of run (no progress lines)
 //   pmlp evaluate <model> <dataset>   re-score a saved model (acc, area,
 //                                     power, feasibility zone @1V/0.6V)
-//   pmlp export <model> <dataset> <out-prefix>
-//                                     Verilog DUT + self-checking testbench
 //   pmlp export-rtl <front|model> [dataset|-] [outdir]
 //                                     verified RTL export of a whole saved
 //                                     front (--save-front dir or campaign
@@ -123,6 +119,9 @@
 //                                     failure (exit 1), not a skip — the CI
 //                                     setting
 //
+// Every subcommand takes at most the positionals shown above; an extra one
+// (or an unknown subcommand) is a usage error, exit 2, before any work.
+//
 // Global options:
 //   --threads N                      flow-wide parallelism: GA fitness
 //                                     evaluation and hardware analysis
@@ -182,8 +181,6 @@
 #include "pmlp/hwmodel/power.hpp"
 #include "pmlp/mlp/topology.hpp"
 #include "pmlp/netlist/opt.hpp"
-#include "pmlp/netlist/testbench.hpp"
-#include "pmlp/netlist/verilog.hpp"
 
 namespace {
 
@@ -269,7 +266,7 @@ void require_dataset(const std::string& name) {
 /// would cost a full training run to discover. --threads/--cache are
 /// accepted everywhere as global performance knobs.
 void reject_unused_flags(const std::string& cmd) {
-  const bool run_like = cmd == "run" || cmd == "resume" || cmd == "train";
+  const bool run_like = cmd == "run" || cmd == "resume";
   const bool campaign = cmd == "campaign";
   const bool serve = cmd == "serve";
   const bool rtl = cmd == "export-rtl" || cmd == "verify-rtl";
@@ -441,7 +438,7 @@ void save_front(const core::FlowResult& result, const std::string& dir) {
 }
 
 int cmd_run(const std::string& dataset, int pop, int gens,
-            const std::string& model_out, bool is_resume, bool legacy) {
+            const std::string& model_out, bool is_resume) {
   const auto& row = mlp::paper_row(dataset);
   validate_checkpoint_path(g_checkpoint);
   validate_save_front_path(g_save_front);
@@ -467,13 +464,11 @@ int cmd_run(const std::string& dataset, int pop, int gens,
   core::FlowEngine engine(core::load_paper_dataset(dataset), row.topology,
                           default_flow(pop, gens));
   if (!g_checkpoint.empty()) engine.set_checkpoint_dir(g_checkpoint);
-  if (!legacy) {
-    engine.set_progress([](const core::StageReport& r) {
-      std::cerr << "  stage " << core::flow_stage_name(r.stage) << ": "
-                << r.wall_seconds << " s, " << r.items << " items"
-                << (r.reused ? " (reused)" : "") << "\n";
-    });
-  }
+  engine.set_progress([](const core::StageReport& r) {
+    std::cerr << "  stage " << core::flow_stage_name(r.stage) << ": "
+              << r.wall_seconds << " s, " << r.items << " items"
+              << (r.reused ? " (reused)" : "") << "\n";
+  });
   const auto result = engine.run();
 
   const bool json_stdout = g_json == "-";
@@ -919,38 +914,6 @@ int cmd_classify(const std::string& model_path,
   return 0;
 }
 
-int cmd_export(const std::string& model_path, const std::string& dataset,
-               const std::string& prefix) {
-  const auto model = core::load_model_file(model_path);
-  const auto test = test_split(dataset, default_flow(8, 1));
-
-  // One build: optimize(BespokeCircuit) keeps the I/O bus metadata valid
-  // across the rewrite, so the optimized DUT is also the circuit the
-  // testbench's golden predictions come from.
-  const auto circuit = netlist::optimize(
-      netlist::build_bespoke_mlp(model.to_bespoke_desc(prefix)));
-  {
-    std::ofstream os(prefix + ".v");
-    netlist::emit_verilog(circuit.nl, prefix, os);
-  }
-  std::vector<std::uint8_t> codes;
-  const std::size_t n_vec = std::min<std::size_t>(test.size(), 64);
-  for (std::size_t i = 0; i < n_vec; ++i) {
-    const auto r = test.row(i);
-    codes.insert(codes.end(), r.begin(), r.end());
-  }
-  netlist::TestbenchOptions tb;
-  tb.dut_name = prefix;
-  {
-    std::ofstream os(prefix + "_tb.v");
-    netlist::emit_testbench(circuit, test.n_features, codes, tb, os);
-  }
-  std::cout << "wrote " << prefix << ".v (" << circuit.nl.gates().size()
-            << " cells) and " << prefix << "_tb.v (" << n_vec
-            << " vectors)\n";
-  return 0;
-}
-
 /// Derive a Table I dataset name from a campaign-tree front entry path
 /// ("<dataset>_s<seed>/front_NNN.model" -> "<dataset>"). Empty when the
 /// entry is not tree-shaped or the prefix is not a known dataset.
@@ -1088,11 +1051,27 @@ int usage() {
                "[--worker] [--worker-id ID] [--lease-timeout S] "
                "[--heartbeat S] [--max-failures N] [--ga-checkpoint K] "
                "[--rtl-vectors N] [--rtl-random N] [--require-sim] "
-               "<list|metrics|baseline|run|resume|train|campaign|serve|"
-               "classify|evaluate|export|export-rtl|verify-rtl> [args...]\n"
+               "<list|metrics|baseline|run|resume|campaign|serve|classify|"
+               "evaluate|export-rtl|verify-rtl> [args...]\n"
                "(see the header of tools/pmlp_cli.cpp)\n";
   return 2;
 }
+
+/// Positional arity of every subcommand (arguments after its name). Too few
+/// prints the usage; too many is a usage error naming the limit.
+struct Arity {
+  const char* cmd;
+  std::size_t min;
+  std::size_t max;
+};
+constexpr std::size_t kAnyCount = std::numeric_limits<std::size_t>::max();
+constexpr Arity kArity[] = {
+    {"list", 0, 0},       {"metrics", 1, 1},         {"baseline", 1, 1},
+    {"run", 1, 4},        {"resume", 1, 4},          {"campaign", 0, 2},
+    {"campaign status", 0, 0},                       {"serve", 1, 1},
+    {"classify", 2, kAnyCount},                      {"evaluate", 2, 2},
+    {"export-rtl", 1, 3}, {"verify-rtl", 1, 3},
+};
 
 /// Parse a non-negative int option value; returns -1 on error (overflow
 /// included, so huge values can't silently wrap to 0 threads / cache off).
@@ -1251,26 +1230,39 @@ int main(int argc, char** argv) {
   const std::string& cmd = args[0];
   const std::size_t n = args.size();
   try {
+    const bool status = cmd == "campaign" && n >= 2 && args[1] == "status";
+    const std::string sub = status ? "campaign status" : cmd;
+    const std::size_t given = n - (status ? 2 : 1);
+    const Arity* arity = nullptr;
+    for (const auto& a : kArity) {
+      if (sub == a.cmd) arity = &a;
+    }
+    if (arity == nullptr) throw UsageError("unknown subcommand '" + cmd + "'");
+    if (given < arity->min) return usage();
+    if (given > arity->max) {
+      throw UsageError(sub + " takes at most " + std::to_string(arity->max) +
+                       " positional argument(s); unexpected '" +
+                       args[n - given + arity->max] + "'");
+    }
     reject_unused_flags(cmd);
     if (cmd == "list") return cmd_list();
-    if (cmd == "metrics" && n >= 2) {
+    if (cmd == "metrics") {
       require_dataset(args[1]);
       return cmd_metrics(args[1]);
     }
-    if (cmd == "baseline" && n >= 2) {
+    if (cmd == "baseline") {
       require_dataset(args[1]);
       return cmd_baseline(args[1]);
     }
-    if ((cmd == "run" || cmd == "resume" || cmd == "train") && n >= 2) {
+    if (cmd == "run" || cmd == "resume") {
       require_dataset(args[1]);
       const int pop = n >= 3 ? parse_pos("population", args[2]) : 80;
       const int gens = n >= 4 ? parse_pos("generations", args[3]) : 200;
       const std::string out = n >= 5 ? args[4] : "";
-      return cmd_run(args[1], pop, gens, out, cmd == "resume",
-                     cmd == "train");
+      return cmd_run(args[1], pop, gens, out, cmd == "resume");
     }
     if (cmd == "campaign") {
-      if (n >= 2 && args[1] == "status") {
+      if (status) {
         if (g_worker) {
           throw UsageError("campaign status does not take --worker");
         }
@@ -1288,23 +1280,19 @@ int main(int argc, char** argv) {
       const int gens = n >= 3 ? parse_pos("generations", args[2]) : 200;
       return cmd_campaign(pop, gens);
     }
-    if (cmd == "serve" && n >= 2) {
+    if (cmd == "serve") {
       return cmd_serve(args[1]);
     }
-    if (cmd == "classify" && n >= 3) {
+    if (cmd == "classify") {
       return cmd_classify(args[1],
                           std::vector<std::string>(args.begin() + 2,
                                                    args.end()));
     }
-    if (cmd == "evaluate" && n >= 3) {
+    if (cmd == "evaluate") {
       require_dataset(args[2]);
       return cmd_evaluate(args[1], args[2]);
     }
-    if (cmd == "export" && n >= 4) {
-      require_dataset(args[2]);
-      return cmd_export(args[1], args[2], args[3]);
-    }
-    if ((cmd == "export-rtl" || cmd == "verify-rtl") && n >= 2) {
+    if (cmd == "export-rtl" || cmd == "verify-rtl") {
       const std::string dataset = n >= 3 ? args[2] : "-";
       const std::string outdir =
           n >= 4 ? args[3]
