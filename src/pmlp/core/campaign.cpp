@@ -1,12 +1,15 @@
 #include "pmlp/core/campaign.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <filesystem>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "pmlp/core/serialize.hpp"
 #include "pmlp/core/thread_pool.hpp"
@@ -32,27 +35,157 @@ const char* campaign_flow_status_name(CampaignFlowStatus s) {
   return "?";
 }
 
-struct CampaignRunner::FlowState {
-  CampaignFlowSpec spec;
-  std::unique_ptr<FlowEngine> engine;
-  CampaignFlowOutcome outcome;
-  std::chrono::steady_clock::time_point started;
-  bool started_once = false;
-};
+// --------------------------------------------------------------- scheduler
 
-struct CampaignRunner::Impl {
-  std::unique_ptr<ThreadPool> pool;
-  std::mutex mutex;
-  std::condition_variable cv;
+void drain_campaign(ClaimStore& store, const std::atomic<bool>& stop) {
+  while (const auto claim = store.claim()) {
+    try {
+      std::optional<FlowStage> computed;
+      bool finished = false;
+      while (!stop.load()) {
+        const auto stage = claim->engine->advance();
+        if (!stage) {
+          finished = true;
+          break;
+        }
+        const StageReport& report = claim->engine->stages().back();
+        store.on_stage(*claim, report);
+        // kSelect is derived (never checkpointed): computing it is not a
+        // commit point, so the claim runs on to the completion branch.
+        if (!report.reused && *stage != FlowStage::kSelect) {
+          computed = stage;
+          break;
+        }
+      }
+      if (finished) {
+        store.complete(*claim);
+      } else {
+        store.release(*claim, computed);
+      }
+    } catch (const std::exception& e) {
+      store.fail(*claim, e.what());
+    } catch (...) {
+      store.fail(*claim, "unknown error");
+    }
+  }
+}
+
+// ------------------------------------------------------------------ runner
+
+/// In-memory claim store: every flow keeps its engine across claims, and
+/// unclaimed flows wait in a FIFO, so a released flow goes to the back
+/// (round-robin at stage granularity).
+struct CampaignRunner::Impl final : ClaimStore {
+  struct Flow {
+    CampaignFlowSpec spec;
+    std::unique_ptr<FlowEngine> engine;  ///< null once the flow is terminal
+    CampaignFlowOutcome outcome;
+    std::chrono::steady_clock::time_point started{};
+  };
+
+  CampaignConfig cfg;
+  CampaignCallback progress;
+  std::vector<Flow> flows;
   std::atomic<bool> stop{false};
-  int remaining = 0;  ///< flows not yet finished (any status)
-  int done = 0;       ///< flows finished (any status)
   bool ran = false;
-  CampaignResult result;  ///< rollups/counters accumulated under `mutex`
+
+  std::mutex mutex;  ///< guards everything below
+  std::condition_variable cv;
+  std::deque<std::size_t> ready;
+  int claimed = 0;
+  int done = 0;  ///< terminal flows
+  CampaignResult result;
+
+  std::optional<Claim> claim() override {
+    std::unique_lock<std::mutex> lock(mutex);
+    // Non-terminal flows are either ready or claimed: nothing ready and
+    // nothing claimed means every flow is terminal. `stop` is set without
+    // the mutex (request_stop() may run in a signal handler), but a
+    // waiter only blocks while a flow is claimed, and the end of that
+    // claim notifies.
+    cv.wait(lock,
+            [this] { return stop.load() || !ready.empty() || claimed == 0; });
+    if (stop.load() || ready.empty()) return std::nullopt;
+    const std::size_t i = ready.front();
+    ready.pop_front();
+    ++claimed;
+    Flow& f = flows[i];
+    if (f.started == std::chrono::steady_clock::time_point{}) {
+      f.started = std::chrono::steady_clock::now();
+    }
+    return Claim{i, f.engine.get()};
+  }
+
+  void on_stage(const Claim& c, const StageReport& rep) override {
+    std::lock_guard<std::mutex> lock(mutex);
+    auto& roll = result.stages[static_cast<int>(rep.stage)];
+    roll.wall_seconds += rep.wall_seconds;
+    roll.items += rep.items;
+    ++roll.executed;
+    if (rep.reused) ++roll.reused;
+    result.stage_wall_seconds += rep.wall_seconds;
+    if (!progress) return;
+    try {
+      progress(CampaignProgress{c.flow, flows[c.flow].spec.name, rep, done,
+                                static_cast<int>(flows.size())});
+    } catch (const std::exception& e) {
+      throw std::runtime_error(std::string("progress callback: ") + e.what());
+    }
+  }
+
+  void complete(const Claim& c) override {
+    Flow& f = flows[c.flow];
+    // Cheap assembly: the artifacts move out of the engine.
+    f.outcome.result = std::move(*f.engine).run();
+    if (!cfg.checkpoint_root.empty()) {
+      // Terminal marker of the tree protocol (worker.hpp): workers and
+      // `campaign status` treat a done.txt flow as finished. Advisory
+      // only — a failure to write it never fails the flow.
+      try {
+        write_artifact_file(
+            (std::filesystem::path(cfg.checkpoint_root) / f.spec.name /
+             "done.txt")
+                .string(),
+            [](std::ostream& os) { save_record(DoneMarker{"-"}, os); });
+      } catch (const std::exception&) {
+      }
+    }
+    finish(f, CampaignFlowStatus::kDone, "");
+  }
+
+  void fail(const Claim& c, const std::string& error) override {
+    finish(flows[c.flow], CampaignFlowStatus::kFailed, error);
+  }
+
+  void release(const Claim& c, std::optional<FlowStage>) override {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      ready.push_back(c.flow);
+      --claimed;
+    }
+    cv.notify_all();  // on stop, every waiter must wake up and leave
+  }
+
+  void finish(Flow& f, CampaignFlowStatus status, const std::string& error) {
+    f.outcome.status = status;
+    f.outcome.error = error;
+    f.outcome.wall_seconds = seconds_since(f.started);
+    f.engine.reset();  // free the artifacts of failed flows eagerly
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      ++(status == CampaignFlowStatus::kDone ? result.completed
+                                             : result.failed);
+      ++done;
+      --claimed;
+    }
+    cv.notify_all();
+  }
 };
 
 CampaignRunner::CampaignRunner(CampaignConfig cfg)
-    : cfg_(std::move(cfg)), impl_(std::make_unique<Impl>()) {}
+    : impl_(std::make_unique<Impl>()) {
+  impl_->cfg = std::move(cfg);
+}
 
 CampaignRunner::~CampaignRunner() = default;
 
@@ -66,193 +199,82 @@ std::size_t CampaignRunner::add_flow(CampaignFlowSpec spec) {
         "CampaignRunner: flow name must be a non-empty path component, got '" +
         spec.name + "'");
   }
-  for (const auto& f : flows_) {
-    if (f->spec.name == spec.name) {
+  for (const auto& f : impl_->flows) {
+    if (f.spec.name == spec.name) {
       throw std::invalid_argument("CampaignRunner: duplicate flow name '" +
                                   spec.name + "'");
     }
   }
-  auto st = std::make_unique<FlowState>();
-  st->outcome.name = spec.name;
-  st->outcome.dataset = spec.dataset;
-  st->outcome.topology = spec.topology;
-  st->spec = std::move(spec);
-  flows_.push_back(std::move(st));
-  return flows_.size() - 1;
+  Impl::Flow f;
+  f.outcome.name = spec.name;
+  f.outcome.dataset = spec.dataset;
+  f.outcome.topology = spec.topology;
+  f.spec = std::move(spec);
+  impl_->flows.push_back(std::move(f));
+  return impl_->flows.size() - 1;
 }
 
 CampaignRunner& CampaignRunner::set_progress(CampaignCallback cb) {
-  progress_ = std::move(cb);
+  impl_->progress = std::move(cb);
   return *this;
 }
 
 void CampaignRunner::request_stop() { impl_->stop.store(true); }
 
-void CampaignRunner::finish_flow(FlowState& st, CampaignFlowStatus status,
-                                 const std::string& error) {
-  st.outcome.status = status;
-  st.outcome.error = error;
-  st.outcome.wall_seconds =
-      st.started_once ? seconds_since(st.started) : 0.0;
-  st.engine.reset();  // free artifacts of failed/stopped flows eagerly
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    switch (status) {
-      case CampaignFlowStatus::kDone: ++impl_->result.completed; break;
-      case CampaignFlowStatus::kFailed: ++impl_->result.failed; break;
-      case CampaignFlowStatus::kStopped: ++impl_->result.stopped; break;
-      case CampaignFlowStatus::kPending: ++impl_->result.pending; break;
-    }
-    ++impl_->done;
-    --impl_->remaining;
-  }
-  impl_->cv.notify_all();
-}
-
-void CampaignRunner::step(std::size_t index) {
-  FlowState& st = *flows_[index];
-  if (impl_->stop.load()) {
-    // A flow none of whose stages ever ran is reported kPending (nothing
-    // to resume), a partially-run one kStopped (checkpoint resumable).
-    finish_flow(st,
-                st.engine->stages().empty() ? CampaignFlowStatus::kPending
-                                            : CampaignFlowStatus::kStopped,
-                "");
-    return;
-  }
-  if (!st.started_once) {
-    st.started_once = true;
-    st.started = std::chrono::steady_clock::now();
-  }
-
-  // Run exactly one pipeline stage. A throw (corrupt checkpoint, I/O error,
-  // bad artifact) fails only this flow.
-  std::optional<FlowStage> ran;
-  try {
-    ran = st.engine->advance();
-  } catch (const std::exception& e) {
-    finish_flow(st, CampaignFlowStatus::kFailed, e.what());
-    return;
-  } catch (...) {
-    finish_flow(st, CampaignFlowStatus::kFailed, "unknown error");
-    return;
-  }
-
-  if (!ran) {
-    // Every stage done: assemble (cheap — artifacts move out of the engine).
-    try {
-      st.outcome.result = std::move(*st.engine).run();
-    } catch (const std::exception& e) {
-      finish_flow(st, CampaignFlowStatus::kFailed, e.what());
-      return;
-    } catch (...) {
-      finish_flow(st, CampaignFlowStatus::kFailed, "unknown error");
-      return;
-    }
-    if (!cfg_.checkpoint_root.empty()) {
-      // Terminal marker for the distributed-worker protocol (worker.hpp):
-      // workers and `campaign status` treat a done.txt flow as finished.
-      // Advisory only — a failure to write it never fails the flow.
-      try {
-        write_artifact_file(
-            (std::filesystem::path(cfg_.checkpoint_root) / st.outcome.name /
-             "done.txt")
-                .string(),
-            [](std::ostream& os) { save_record(DoneMarker{"-"}, os); });
-      } catch (const std::exception&) {
-      }
-    }
-    finish_flow(st, CampaignFlowStatus::kDone, "");
-    return;
-  }
-
-  // Roll the stage into the campaign aggregates, report progress (the
-  // callback is serialized under the scheduler mutex) and schedule the
-  // continuation: the flow's next stage goes to the BACK of the shared
-  // FIFO queue — round-robin fairness across flows at stage granularity.
-  // Everything here must stay inside the try: a throw that escaped this
-  // pool task would be swallowed by its discarded future, the flow would
-  // never finish and run() would wait forever.
-  std::string error;
-  try {
-    const StageReport rep = st.engine->stages().back();
-    {
-      std::lock_guard<std::mutex> lock(impl_->mutex);
-      auto& roll = impl_->result.stages[static_cast<int>(rep.stage)];
-      roll.wall_seconds += rep.wall_seconds;
-      roll.items += rep.items;
-      ++roll.executed;
-      if (rep.reused) ++roll.reused;
-      impl_->result.stage_wall_seconds += rep.wall_seconds;
-      if (progress_) {
-        const CampaignProgress p{index, st.spec.name, rep, impl_->done,
-                                 static_cast<int>(flows_.size())};
-        try {
-          progress_(p);
-        } catch (const std::exception& e) {
-          error = std::string("progress callback: ") + e.what();
-        } catch (...) {
-          error = "progress callback: unknown error";
-        }
-      }
-    }
-    if (error.empty()) {
-      impl_->pool->submit([this, index] { step(index); });
-      return;  // continuation scheduled; this flow finishes later
-    }
-  } catch (const std::exception& e) {
-    error = e.what();
-  } catch (...) {
-    error = "unknown error";
-  }
-  finish_flow(st, CampaignFlowStatus::kFailed, error);
-}
-
 CampaignResult CampaignRunner::run() {
-  if (impl_->ran) {
+  Impl& im = *impl_;
+  if (im.ran) {
     throw std::logic_error("CampaignRunner::run() is one-shot");
   }
-  impl_->ran = true;
+  im.ran = true;
   const auto t0 = std::chrono::steady_clock::now();
-  const int workers = resolve_n_threads(cfg_.n_threads);
-  impl_->result.n_threads = workers;
-  impl_->remaining = static_cast<int>(flows_.size());
+  const int threads = resolve_n_threads(im.cfg.n_threads);
 
-  // Build every engine up front: flows share the campaign pool instead of
-  // spawning their own (stages run serially inside a flow — bit-identical
-  // to any other thread setting by the engines' determinism contract).
-  for (auto& st : flows_) {
-    FlowConfig cfg = st->spec.config;
+  // Build every engine up front. Stages run serially inside a flow, so N
+  // flows never oversubscribe the campaign's threads — bit-identical to
+  // any other thread setting by the engines' determinism contract.
+  for (std::size_t i = 0; i < im.flows.size(); ++i) {
+    auto& f = im.flows[i];
+    FlowConfig cfg = f.spec.config;
     cfg.trainer.n_threads = 1;
     cfg.trainer.ga.n_threads = 1;
     cfg.hardware.n_threads = 1;
-    st->engine = std::make_unique<FlowEngine>(std::move(st->spec.data),
-                                              st->spec.topology, cfg);
-    if (!cfg_.checkpoint_root.empty()) {
-      st->engine->set_checkpoint_dir(
-          (std::filesystem::path(cfg_.checkpoint_root) / st->spec.name)
+    f.engine = std::make_unique<FlowEngine>(std::move(f.spec.data),
+                                            f.spec.topology, cfg);
+    if (!im.cfg.checkpoint_root.empty()) {
+      f.engine->set_checkpoint_dir(
+          (std::filesystem::path(im.cfg.checkpoint_root) / f.spec.name)
               .string());
     }
+    im.ready.push_back(i);
   }
 
-  if (!flows_.empty()) {
-    impl_->pool = std::make_unique<ThreadPool>(workers);
-    for (std::size_t i = 0; i < flows_.size(); ++i) {
-      impl_->pool->submit([this, i] { step(i); });
+  // No more threads than flows. The calling thread only waits: draining
+  // on it as well measured 4-7% more CPU time on the campaign-suite
+  // benchmark (10 flows, 4 threads, 4-vCPU x86 VM).
+  {
+    std::vector<std::jthread> drainers;
+    for (int t = 0; t < std::min<int>(threads, im.flows.size()); ++t) {
+      drainers.emplace_back([&im] { drain_campaign(im, im.stop); });
     }
-    {
-      std::unique_lock<std::mutex> lock(impl_->mutex);
-      impl_->cv.wait(lock, [this] { return impl_->remaining == 0; });
-    }
-    impl_->pool.reset();  // joins the workers; the queue is already drained
   }
 
-  CampaignResult out = std::move(impl_->result);
+  // Flows the stop left unfinished: kPending when none of their stages
+  // ran (nothing to resume), kStopped otherwise (checkpoint resumable).
+  CampaignResult out = std::move(im.result);
+  for (auto& f : im.flows) {
+    if (!f.engine) continue;  // terminal
+    const bool ran_stage = !f.engine->stages().empty();
+    f.outcome.status =
+        ran_stage ? CampaignFlowStatus::kStopped : CampaignFlowStatus::kPending;
+    f.outcome.wall_seconds = ran_stage ? seconds_since(f.started) : 0.0;
+    ++(ran_stage ? out.stopped : out.pending);
+    f.engine.reset();
+  }
+  out.n_threads = threads;
   out.wall_seconds = seconds_since(t0);
-  out.flows.reserve(flows_.size());
-  for (auto& st : flows_) {
-    out.flows.push_back(std::move(st->outcome));
-  }
+  out.flows.reserve(im.flows.size());
+  for (auto& f : im.flows) out.flows.push_back(std::move(f.outcome));
   return out;
 }
 

@@ -1,25 +1,34 @@
-// Multi-dataset campaign runner: one process drives N independent
-// FlowEngines (dataset x seed x config grid) over a SINGLE shared ThreadPool
-// with a global stage-aware scheduler, instead of one-flow-at-a-time
-// binaries that each spawn their own worker forest.
+// Campaign scheduler: one drain loop over N independent FlowEngines
+// (dataset x seed x config grid), whether the grid runs inside one process
+// (CampaignRunner, below) or across `pmlp campaign --worker` processes
+// (CampaignWorker, worker.hpp).
 //
-// Scheduling model. Every flow is decomposed into its pipeline stages
-// (FlowEngine::advance() runs exactly one pending stage); each stage is one
-// task on the shared pool, and a completed stage re-enqueues the flow's next
-// stage at the BACK of the pool's FIFO queue. With W workers that yields
-// round-robin fairness across flows at stage granularity — the same
-// global-fairness-over-independent-work-items shape as HOTS-style iterative
-// schedulers — and bounds the campaign's thread count at W regardless of the
-// number of flows. Inside the campaign every flow runs its stages serially
-// (TrainerConfig::n_threads is forced to 1), so N flows never oversubscribe
-// to N x n_threads workers; since every stage is bit-identical for any
-// thread count, each flow's result is exactly what an independent run_flow()
-// call would produce.
+// The loop (drain_campaign). Claim the next non-terminal flow round-robin,
+// advance it until one stage is computed (checkpoint reloads ride along;
+// the derived select stage is not a commit point), report every stage,
+// then finish the claim: publish the result and `done.txt` when the
+// pipeline completed, record the throw when a stage failed, or release
+// the flow for the next claim. request_stop() is checked between stages.
+// Stage granularity gives round-robin fairness across flows, and a slow
+// flow never pins a thread for its whole pipeline.
+//
+// The two modes differ only in their ClaimStore:
+// - in-memory (CampaignRunner): claims are exclusive under one mutex, each
+//   flow keeps its FlowEngine across claims, the first throw fails the
+//   flow, and idle threads block on a condition variable. The loop runs
+//   on CampaignConfig::n_threads threads — the campaign's whole thread
+//   budget: every flow runs its stages serially (TrainerConfig::n_threads
+//   is forced to 1), and since every stage is bit-identical for any thread
+//   count, each flow's result is exactly what run_flow() would produce.
+// - lease directory (CampaignWorker): one thread per process, claims are
+//   lease files with heartbeats and fencing, each claim builds a fresh
+//   engine from the tree, and failures count up to `max_failures`.
 //
 // Checkpointing. With a checkpoint_root, flow `name` persists under
 // `<root>/<name>/` through the ordinary FlowEngine artifact formats, so a
 // killed campaign restarts cheaply: a later run with the same specs reloads
 // every completed stage bit-identically and recomputes only what is missing.
+// Runner- and worker-written trees are interchangeable.
 //
 // Failure isolation. A flow that throws (corrupt checkpoint, bad artifact,
 // ...) is recorded as failed with its error message; the remaining flows run
@@ -27,6 +36,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -45,9 +55,9 @@ struct CampaignFlowSpec {
   std::string dataset;  ///< display name for reports
   datasets::Dataset data;
   mlp::Topology topology;
-  /// Per-flow flow config. trainer.n_threads is ignored inside a campaign
-  /// (flows share the campaign pool and run their stages serially); results
-  /// are unchanged because every stage is bit-identical for any setting.
+  /// Per-flow flow config. CampaignRunner ignores the thread counts (flows
+  /// share its threads and run their stages serially); results are
+  /// unchanged because every stage is bit-identical for any setting.
   FlowConfig config;
 };
 
@@ -90,7 +100,7 @@ struct CampaignResult {
                                     ///< flows overlap workers)
   /// Indexed by static_cast<int>(FlowStage).
   std::array<CampaignStageRollup, kNumFlowStages> stages{};
-  int n_threads = 1;  ///< actual shared-pool worker count
+  int n_threads = 1;  ///< scheduler thread count
   int completed = 0;
   int failed = 0;
   int stopped = 0;
@@ -108,17 +118,17 @@ struct CampaignProgress {
   std::size_t flow_index = 0;
   const std::string& flow_name;
   StageReport stage;
-  int flows_done = 0;  ///< done + failed + stopped so far
+  int flows_done = 0;  ///< done + failed so far
   int flows_total = 0;
 };
-/// Invoked from worker threads, serialized by the runner (never
+/// Invoked from scheduler threads, serialized by the runner (never
 /// concurrently). Throwing from the callback fails the current flow.
 using CampaignCallback = std::function<void(const CampaignProgress&)>;
 
 struct CampaignConfig {
-  /// Shared-pool worker count: 0 = all hardware threads, N = N workers.
-  /// This is the campaign's TOTAL thread budget — flows never spawn pools
-  /// of their own.
+  /// Scheduler threads: 0 = all hardware threads, N = N threads. This is
+  /// the campaign's TOTAL thread budget — flows never spawn pools of their
+  /// own.
   int n_threads = 0;
   /// Per-flow checkpoint subdirectories live under this root (created on
   /// demand); empty disables checkpointing.
@@ -142,7 +152,7 @@ class CampaignRunner {
   /// Stop scheduling new stages (in-flight stages finish). Flows that have
   /// not completed are reported kStopped (or kPending if never started);
   /// their checkpoints remain resumable. Safe from any thread, including
-  /// the progress callback.
+  /// the progress callback, and from a signal handler (one atomic store).
   void request_stop();
 
   /// Run every flow to completion (or failure) and aggregate. One-shot:
@@ -150,18 +160,44 @@ class CampaignRunner {
   [[nodiscard]] CampaignResult run();
 
  private:
-  struct FlowState;
-
-  void step(std::size_t index);
-  void finish_flow(FlowState& st, CampaignFlowStatus status,
-                   const std::string& error);
-
-  CampaignConfig cfg_;
-  CampaignCallback progress_;
-  std::vector<std::unique_ptr<FlowState>> flows_;
-  struct Impl;  ///< scheduler state, live during run()
+  struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+// --------------------------------------------------------------- scheduler
+
+/// Where a campaign's flows live and who may advance them: the only part
+/// of the scheduler that differs between CampaignRunner (in-memory) and
+/// CampaignWorker (lease directory).
+class ClaimStore {
+ public:
+  /// The right to advance one flow's engine until the claim ends.
+  struct Claim {
+    std::size_t flow = 0;
+    FlowEngine* engine = nullptr;
+  };
+
+  virtual ~ClaimStore() = default;
+
+  /// The next non-terminal flow, round-robin. Waits while every such flow
+  /// is claimed elsewhere; nullopt once all are terminal or on stop.
+  virtual std::optional<Claim> claim() = 0;
+  /// One stage of the claimed flow ran or reloaded. A throw fails the flow.
+  virtual void on_stage(const Claim& c, const StageReport& report) = 0;
+  /// Every stage is done: publish the result and `done.txt`, end the
+  /// claim. A throw (before anything is published) fails the flow.
+  virtual void complete(const Claim& c) = 0;
+  /// A stage, on_stage() or complete() threw: record it, end the claim.
+  virtual void fail(const Claim& c, const std::string& error) = 0;
+  /// End the claim with the flow unfinished: after `computed` committed,
+  /// or (nullopt) because stop was requested.
+  virtual void release(const Claim& c, std::optional<FlowStage> computed) = 0;
+};
+
+/// The campaign scheduler loop: claim, advance to one computed stage,
+/// finish the claim; until claim() returns nullopt. `stop` is checked
+/// between stages. The only place a campaign calls FlowEngine::advance().
+void drain_campaign(ClaimStore& store, const std::atomic<bool>& stop);
 
 /// Machine-readable campaign report: totals, per-stage rollups and one full
 /// flow report (write_flow_report_json) per completed flow.

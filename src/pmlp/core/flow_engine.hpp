@@ -103,8 +103,8 @@ class FlowEngine {
   /// Run (or checkpoint-load) exactly one stage: the earliest one whose
   /// artifact is not yet available. Returns the stage that ran, or nullopt
   /// once the pipeline is complete (run() is then a cheap assembly). This is
-  /// the scheduling unit of the campaign runner (campaign.hpp), which
-  /// interleaves many flows' stages over one shared worker pool.
+  /// the scheduling unit of the campaign scheduler (drain_campaign in
+  /// campaign.hpp), which interleaves many flows' stages.
   std::optional<FlowStage> advance();
 
   /// Reports of every stage executed so far, in execution order.

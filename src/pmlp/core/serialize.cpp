@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -978,6 +979,56 @@ bool is_front_model_name(const std::string& name) {
 
 }  // namespace
 
+std::vector<FrontEntry> front_entries(std::vector<HwEvaluatedPoint> front,
+                                      const std::string& prefix) {
+  std::vector<FrontEntry> entries;
+  for (std::size_t i = 0; i < front.size(); ++i) {
+    char name[40];
+    std::snprintf(name, sizeof name, "front_%03zu.model", i);
+    FrontEntry e;
+    e.file = prefix + name;
+    e.test_accuracy = front[i].test_accuracy;
+    e.area_cm2 = front[i].cost.area_cm2();
+    e.power_mw = front[i].cost.power_mw();
+    e.functional_match = front[i].functional_match;
+    e.model = std::move(front[i].model);
+    entries.push_back(std::move(e));
+  }
+  return entries;
+}
+
+void save_front_dir(const std::vector<FrontEntry>& entries,
+                    const std::string& dir) {
+  const fs::path target(dir);
+  const fs::path tmp(dir + ".tmp");
+  const fs::path old(dir + ".old");
+  fs::remove_all(tmp);  // leftovers of a previously killed run
+  fs::remove_all(old);
+  fs::create_directories(tmp);
+  std::ofstream index(tmp / "index.tsv");
+  if (!index) {
+    throw std::runtime_error("cannot write " + (tmp / "index.tsv").string());
+  }
+  // max_digits10 round-trips the doubles exactly, so the index always
+  // agrees with the model artifacts and selector queries never tie-break
+  // on rounded values.
+  index << std::setprecision(std::numeric_limits<double>::max_digits10);
+  index << "file\ttest_accuracy\tarea_cm2\tpower_mw\tfunctional_match\n";
+  for (const auto& e : entries) {
+    save_model_file(e.model, (tmp / e.file).string());
+    index << e.file << '\t' << e.test_accuracy << '\t' << e.area_cm2 << '\t'
+          << e.power_mw << '\t' << (e.functional_match ? 1 : 0) << '\n';
+  }
+  index.flush();
+  if (!index) {
+    throw std::runtime_error("short write to " + (tmp / "index.tsv").string());
+  }
+  index.close();
+  if (fs::exists(target)) fs::rename(target, old);
+  fs::rename(tmp, target);
+  fs::remove_all(old);
+}
+
 std::vector<FrontEntry> load_front_dir(const std::string& dir) {
   const fs::path root(dir);
   std::ifstream index(root / "index.tsv");
@@ -1069,17 +1120,8 @@ std::vector<FrontEntry> load_front_tree(const std::string& dir) {
   for (const auto& flow : flows) {
     std::istringstream is(
         read_artifact_file((root / flow / "evaluated.txt").string()));
-    auto front = true_pareto(load_evaluated_points(is));
-    for (std::size_t i = 0; i < front.size(); ++i) {
-      char name[40];
-      std::snprintf(name, sizeof name, "front_%03zu.model", i);
-      FrontEntry e;
-      e.file = flow + "/" + name;
-      e.test_accuracy = front[i].test_accuracy;
-      e.area_cm2 = front[i].cost.area_cm2();
-      e.power_mw = front[i].cost.power_mw();
-      e.functional_match = front[i].functional_match;
-      e.model = std::move(front[i].model);
+    for (auto& e : front_entries(true_pareto(load_evaluated_points(is)),
+                                 flow + "/")) {
       entries.push_back(std::move(e));
     }
   }

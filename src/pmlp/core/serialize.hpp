@@ -223,6 +223,21 @@ struct FrontEntry {
   ApproxMlp model;
 };
 
+/// A hardware front as served entries, in order: "<prefix>front_NNN.model"
+/// with each point's exact accuracy/area/power.
+[[nodiscard]] std::vector<FrontEntry> front_entries(
+    std::vector<HwEvaluatedPoint> front, const std::string& prefix = "");
+
+/// Publish `entries` as a front directory: each model under its `file`
+/// name plus index.tsv. Everything is written into a `.tmp` sibling and
+/// renamed into place; a previous directory is moved to `.old` and removed
+/// only after the new one is complete. So a smaller rerun never leaves
+/// stale models next to a fresh index, and a killed run never leaves a
+/// half-written directory under the published name. Throws
+/// std::runtime_error on I/O failure.
+void save_front_dir(const std::vector<FrontEntry>& entries,
+                    const std::string& dir);
+
 /// Strict loader of a --save-front directory: parses index.tsv, loads every
 /// file it names, and REJECTS (std::invalid_argument) an index naming a
 /// missing/corrupt file, a duplicate entry, or a directory holding any

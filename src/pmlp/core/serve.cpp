@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -362,6 +363,11 @@ void FrontServer::serve_forever() {
     if (ready == 0) continue;
     const int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
+    // Replies are small and written one per request: without NODELAY,
+    // Nagle holds the second of two pipelined replies until the client's
+    // delayed ACK for the first (~40 ms).
+    const int one = 1;
+    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.connections;

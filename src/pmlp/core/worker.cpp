@@ -239,7 +239,10 @@ void release_claim(const std::string& flow_dir,
 
 // ------------------------------------------------------------------ worker
 
-struct CampaignWorker::Impl {
+/// Lease-directory claim store: one worker process's view of the tree.
+/// A claim is a lease file; each claim builds a fresh engine that reloads
+/// whatever any worker committed since this one last visited the flow.
+struct CampaignWorker::Impl final : ClaimStore {
   std::vector<CampaignFlowSpec> specs;
   WorkerConfig cfg;
   std::string id;
@@ -271,14 +274,198 @@ struct CampaignWorker::Impl {
   };
   std::vector<StaleTrack> track;
 
+  // Sweep state: the next flow to look at, and whether the current sweep
+  // over the grid saw a non-terminal flow / advanced the tree.
+  std::size_t cursor = 0;
+  bool sweep_active = false;
+  bool sweep_progressed = false;
+  double backoff_s = 0.0;
   std::mt19937 jitter_rng{std::random_device{}()};
 
-  void beater_loop();
-  void begin_lease(const std::string& dir);
-  void end_lease();
-  bool acquire(std::size_t i, const std::string& dir);
-  bool run_one_claim(std::size_t i, const std::string& dir);
+  std::string dir;  ///< the claimed flow's directory
+  std::optional<FlowEngine> engine;
+
+  void beater_loop() {
+    std::unique_lock<std::mutex> lock(beat_mutex);
+    for (;;) {
+      beat_cv.wait_for(lock,
+                       std::chrono::duration<double>(cfg.heartbeat_s));
+      if (beater_exit) return;
+      if (beat_dir.empty()) continue;
+      const std::string flow_dir = beat_dir;
+      const long gen = lease_gen;
+      lock.unlock();
+      // Fencing: re-read the claim every beat. If it vanished or names
+      // someone else, our lease was stolen (we stalled past the timeout).
+      // Stop beating and raise the flag — the main loop must not write
+      // terminal markers or release the NEW owner's claim.
+      const auto claim = lease::read_claim(flow_dir);
+      const bool lost = !claim || claim->worker != id;
+      if (!lost && !FaultInjector::instance().heartbeat_stalled()) {
+        lease::write_beat(flow_dir, id, ++beat_count);
+      }
+      lock.lock();
+      if (lost && lease_gen == gen) lease_lost.store(true);
+    }
+  }
+
+  void stop_beater() {
+    if (!beater.joinable()) return;
+    {
+      std::lock_guard<std::mutex> lock(beat_mutex);
+      beater_exit = true;
+    }
+    beat_cv.notify_all();
+    beater.join();
+  }
+
+  void begin_lease(const std::string& flow_dir) {
+    {
+      std::lock_guard<std::mutex> lock(beat_mutex);
+      beat_dir = flow_dir;
+      ++lease_gen;
+      lease_lost.store(false);
+    }
+    // Wake the beater for the first beat right away; the fresh claim itself
+    // already starts a fresh staleness snapshot for other workers.
+    beat_cv.notify_all();
+  }
+
+  /// Try to become the owner of flow `i`. Handles the contention path:
+  /// conflict accounting, same-host dead-owner fast path, snapshot-based
+  /// staleness and the atomic steal.
+  bool acquire(std::size_t i, const std::string& flow_dir) {
+    if (lease::try_claim(flow_dir, id)) {
+      ++report.claims;
+      track[i].valid = false;
+      return true;
+    }
+    ++report.claim_conflicts;
+    const auto claim = lease::read_claim(flow_dir);
+    if (!claim) return false;  // released between our open() and read: retry
+    const std::string beat = lease::read_beat_raw(flow_dir);
+    const auto now = std::chrono::steady_clock::now();
+    auto& t = track[i];
+    const bool changed =
+        !t.valid || t.claim_raw != claim->raw || t.beat_raw != beat;
+    if (changed) {
+      t.claim_raw = claim->raw;
+      t.beat_raw = beat;
+      t.first_seen = now;
+      t.valid = true;
+    }
+    const bool dead = lease::claim_owner_dead_locally(*claim);
+    const bool timed_out =
+        t.valid && std::chrono::duration<double>(now - t.first_seen).count() >=
+                       cfg.lease_timeout_s;
+    if (!dead && (changed || !timed_out)) return false;  // owner looks alive
+    if (!lease::steal_claim(flow_dir, id)) return false;  // lost the race
+    ++report.leases_stolen;
+    t.valid = false;
+    if (lease::try_claim(flow_dir, id)) {
+      ++report.claims;
+      return true;
+    }
+    return false;  // another worker claimed first; their lease, their flow
+  }
+
+  std::optional<Claim> claim() override {
+    while (!stop.load()) {
+      if (cursor == specs.size()) {  // one sweep over the grid ended
+        cursor = 0;
+        if (!sweep_active) return std::nullopt;  // tree fully drained
+        if (sweep_progressed || stop.load()) {
+          backoff_s = cfg.heartbeat_s / 20;
+        } else {
+          // Everything claimable is claimed by live owners: back off with
+          // jitter so a fleet of idle workers doesn't poll in lockstep.
+          std::uniform_real_distribution<double> u(0.5, 1.5);
+          std::this_thread::sleep_for(
+              std::chrono::duration<double>(backoff_s * u(jitter_rng)));
+          backoff_s = std::min(backoff_s * 2.0, cfg.heartbeat_s);
+        }
+        sweep_active = sweep_progressed = false;
+        continue;
+      }
+      const std::size_t i = cursor++;
+      dir = (fs::path(cfg.checkpoint_root) / specs[i].name).string();
+      fs::create_directories(dir);
+      std::error_code ec;
+      if (fs::exists(fs::path(dir) / kDoneFile, ec) ||
+          fs::exists(fs::path(dir) / kFailedFile, ec)) {
+        continue;  // terminal
+      }
+      sweep_active = true;
+      if (!acquire(i, dir)) continue;
+      begin_lease(dir);
+      const CampaignFlowSpec& spec = specs[i];
+      engine.emplace(spec.data, spec.topology, spec.config);
+      engine->set_checkpoint_dir(dir);
+      return Claim{i, &*engine};
+    }
+    return std::nullopt;
+  }
+
+  void on_stage(const Claim& c, const StageReport& rep) override {
+    ++(rep.reused ? report.stages_reloaded : report.stages_computed);
+    if (progress) progress(specs[c.flow].name, rep);
+  }
+
+  /// Drop the lease — unless it was stolen, in which case the new owner's
+  /// claim and bookkeeping are not ours to touch.
+  void end_claim(bool ok) {
+    engine.reset();
+    {
+      std::lock_guard<std::mutex> lock(beat_mutex);
+      beat_dir.clear();
+      ++lease_gen;
+    }
+    if (lease_lost.load()) return;
+    if (ok) {
+      std::error_code ec;
+      fs::remove(fs::path(dir) / kFailuresFile, ec);
+    }
+    lease::release_claim(dir, id);
+  }
+
+  void complete(const Claim&) override {
+    if (!lease_lost.load()) {
+      write_record_file((fs::path(dir) / kDoneFile).string(), DoneMarker{id});
+      ++report.flows_completed;
+      sweep_progressed = true;
+    }
+    end_claim(true);
+  }
+
+  void release(const Claim&, std::optional<FlowStage> computed) override {
+    if (computed) {
+      // One computed stage committed — the stage boundary. The injected
+      // kill lands here, AFTER the commit and BEFORE the release: the
+      // checkpoint tree keeps the work, the lease dies with the process.
+      FaultInjector::instance().maybe_kill_at_stage(flow_stage_name(*computed));
+      sweep_progressed = true;
+    }
+    end_claim(true);
+  }
+
+  void fail(const Claim&, const std::string& error) override {
+    ++report.stage_failures;
+    if (!lease_lost.load()) {
+      FailureRecord rec = read_failures(dir);
+      ++rec.count;
+      rec.error = error;
+      write_record_file((fs::path(dir) / kFailuresFile).string(), rec);
+      if (rec.count >= cfg.max_failures) {
+        write_record_file((fs::path(dir) / kFailedFile).string(),
+                          FailedMarker{id, rec.error});
+        ++report.flows_failed;
+      }
+      sweep_progressed = true;  // the failure record itself advanced the tree
+    }
+    end_claim(false);
+  }
 };
+
 
 CampaignWorker::CampaignWorker(std::vector<CampaignFlowSpec> specs,
                                WorkerConfig cfg)
@@ -304,16 +491,7 @@ CampaignWorker::CampaignWorker(std::vector<CampaignFlowSpec> specs,
   impl_->track.resize(impl_->specs.size());
 }
 
-CampaignWorker::~CampaignWorker() {
-  if (impl_->beater.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(impl_->beat_mutex);
-      impl_->beater_exit = true;
-    }
-    impl_->beat_cv.notify_all();
-    impl_->beater.join();
-  }
-}
+CampaignWorker::~CampaignWorker() { impl_->stop_beater(); }
 
 CampaignWorker& CampaignWorker::set_progress(ProgressFn cb) {
   impl_->progress = std::move(cb);
@@ -324,157 +502,6 @@ void CampaignWorker::request_stop() { impl_->stop.store(true); }
 
 const std::string& CampaignWorker::worker_id() const { return impl_->id; }
 
-void CampaignWorker::Impl::beater_loop() {
-  std::unique_lock<std::mutex> lock(beat_mutex);
-  for (;;) {
-    beat_cv.wait_for(lock,
-                     std::chrono::duration<double>(cfg.heartbeat_s));
-    if (beater_exit) return;
-    if (beat_dir.empty()) continue;
-    const std::string dir = beat_dir;
-    const long gen = lease_gen;
-    lock.unlock();
-    // Fencing: re-read the claim every beat. If it vanished or names
-    // someone else, our lease was stolen (we stalled past the timeout).
-    // Stop beating and raise the flag — the main loop must not write
-    // terminal markers or release the NEW owner's claim.
-    const auto claim = lease::read_claim(dir);
-    const bool lost = !claim || claim->worker != id;
-    if (!lost && !FaultInjector::instance().heartbeat_stalled()) {
-      lease::write_beat(dir, id, ++beat_count);
-    }
-    lock.lock();
-    if (lost && lease_gen == gen) lease_lost.store(true);
-  }
-}
-
-void CampaignWorker::Impl::begin_lease(const std::string& dir) {
-  {
-    std::lock_guard<std::mutex> lock(beat_mutex);
-    beat_dir = dir;
-    ++lease_gen;
-    lease_lost.store(false);
-  }
-  // Wake the beater for the first beat right away; the fresh claim itself
-  // already starts a fresh staleness snapshot for other workers.
-  beat_cv.notify_all();
-}
-
-void CampaignWorker::Impl::end_lease() {
-  std::lock_guard<std::mutex> lock(beat_mutex);
-  beat_dir.clear();
-  ++lease_gen;
-}
-
-/// Try to become the owner of flow `i`. Handles the contention path:
-/// conflict accounting, same-host dead-owner fast path, snapshot-based
-/// staleness and the atomic steal.
-bool CampaignWorker::Impl::acquire(std::size_t i, const std::string& dir) {
-  if (lease::try_claim(dir, id)) {
-    ++report.claims;
-    track[i].valid = false;
-    return true;
-  }
-  ++report.claim_conflicts;
-  const auto claim = lease::read_claim(dir);
-  if (!claim) return false;  // released between our open() and read: retry
-  const std::string beat = lease::read_beat_raw(dir);
-  const auto now = std::chrono::steady_clock::now();
-  auto& t = track[i];
-  const bool changed =
-      !t.valid || t.claim_raw != claim->raw || t.beat_raw != beat;
-  if (changed) {
-    t.claim_raw = claim->raw;
-    t.beat_raw = beat;
-    t.first_seen = now;
-    t.valid = true;
-  }
-  const bool dead = lease::claim_owner_dead_locally(*claim);
-  const bool timed_out =
-      t.valid && std::chrono::duration<double>(now - t.first_seen).count() >=
-                     cfg.lease_timeout_s;
-  if (!dead && (changed || !timed_out)) return false;  // owner looks alive
-  if (!lease::steal_claim(dir, id)) return false;  // lost the steal race
-  ++report.leases_stolen;
-  t.valid = false;
-  if (lease::try_claim(dir, id)) {
-    ++report.claims;
-    return true;
-  }
-  return false;  // another worker claimed first; their lease, their flow
-}
-
-/// Holding the lease on flow `i`: run the pipeline forward by exactly one
-/// computed stage (reloads of already-checkpointed stages ride along), or
-/// finish the flow. Returns true when the tree advanced (stage computed,
-/// marker written) — the sweep-level progress signal that resets backoff.
-bool CampaignWorker::Impl::run_one_claim(std::size_t i,
-                                         const std::string& dir) {
-  begin_lease(dir);
-  bool progressed = false;
-  try {
-    // Fresh engine per claim: state is reloaded from the tree, so this
-    // worker composes with whatever other workers committed since its
-    // last visit. Copies keep the spec reusable for later claims.
-    const CampaignFlowSpec& spec = specs[i];
-    FlowEngine engine(spec.data, spec.topology, spec.config);
-    engine.set_checkpoint_dir(dir);
-    std::optional<FlowStage> stage;
-    for (;;) {
-      stage = engine.advance();
-      if (!stage) break;  // pipeline complete
-      const StageReport& rep = engine.stages().back();
-      if (rep.reused) {
-        ++report.stages_reloaded;
-      } else {
-        ++report.stages_computed;
-      }
-      if (progress) progress(spec.name, rep);
-      // kSelect is derived (never checkpointed): computing it is not a
-      // commit boundary, keep going to the completion branch.
-      if (!rep.reused && *stage != FlowStage::kSelect) {
-        progressed = true;
-        break;
-      }
-      if (stop.load()) break;
-    }
-    if (stage) {
-      // One computed stage committed — the stage boundary. The injected
-      // kill lands here, AFTER the commit and BEFORE the release: the
-      // checkpoint tree keeps the work, the lease dies with the process.
-      FaultInjector::instance().maybe_kill_at_stage(
-          flow_stage_name(*stage));
-    } else if (!lease_lost.load()) {
-      write_record_file((fs::path(dir) / kDoneFile).string(), DoneMarker{id});
-      ++report.flows_completed;
-      progressed = true;
-    }
-    if (!lease_lost.load()) {
-      std::error_code ec;
-      fs::remove((fs::path(dir) / kFailuresFile).string(), ec);
-    }
-  } catch (const std::exception& e) {
-    ++report.stage_failures;
-    if (!lease_lost.load()) {
-      FailureRecord rec = read_failures(dir);
-      ++rec.count;
-      rec.error = e.what();
-      write_record_file((fs::path(dir) / kFailuresFile).string(), rec);
-      if (rec.count >= cfg.max_failures) {
-        write_record_file((fs::path(dir) / kFailedFile).string(),
-                          FailedMarker{id, rec.error});
-        ++report.flows_failed;
-      }
-      progressed = true;  // the failure record itself advanced the tree
-    }
-  }
-  end_lease();
-  if (!lease_lost.load()) {
-    lease::release_claim(dir, id);
-  }
-  return progressed;
-}
-
 WorkerReport CampaignWorker::run() {
   Impl& im = *impl_;
   const auto t0 = std::chrono::steady_clock::now();
@@ -484,43 +511,9 @@ WorkerReport CampaignWorker::run() {
                              "' is not a directory");
   }
   im.beater = std::thread([&im] { im.beater_loop(); });
-
-  double backoff = im.cfg.backoff_initial_s;
-  while (!im.stop.load()) {
-    bool any_active = false;
-    bool progressed = false;
-    for (std::size_t i = 0; i < im.specs.size() && !im.stop.load(); ++i) {
-      const std::string dir =
-          (fs::path(im.cfg.checkpoint_root) / im.specs[i].name).string();
-      fs::create_directories(dir);
-      std::error_code ec;
-      if (fs::exists(fs::path(dir) / kDoneFile, ec) ||
-          fs::exists(fs::path(dir) / kFailedFile, ec)) {
-        continue;  // terminal
-      }
-      any_active = true;
-      if (!im.acquire(i, dir)) continue;
-      progressed = im.run_one_claim(i, dir) || progressed;
-    }
-    if (!any_active) break;  // tree fully drained
-    if (!progressed && !im.stop.load()) {
-      // Everything claimable is claimed by live owners: back off with
-      // jitter so a fleet of idle workers doesn't poll in lockstep.
-      std::uniform_real_distribution<double> u(0.5, 1.5);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(backoff * u(im.jitter_rng)));
-      backoff = std::min(backoff * 2.0, im.cfg.backoff_max_s);
-    } else {
-      backoff = im.cfg.backoff_initial_s;
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(im.beat_mutex);
-    im.beater_exit = true;
-  }
-  im.beat_cv.notify_all();
-  im.beater.join();
+  im.backoff_s = im.cfg.heartbeat_s / 20;
+  drain_campaign(im, im.stop);
+  im.stop_beater();
   im.report.wall_seconds = seconds_since(t0);
   return im.report;
 }

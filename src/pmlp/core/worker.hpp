@@ -1,17 +1,19 @@
 // Crash-safe distributed campaign workers: N independent `pmlp campaign
 // --worker` processes drain ONE checkpoint tree cooperatively, with no
-// coordinator, no IPC and no shared state beyond the tree itself.
+// coordinator, no IPC and no shared state beyond the tree itself. Each
+// process runs the campaign scheduler loop of campaign.hpp
+// (drain_campaign) on one thread over the lease-directory claim store;
+// only the store differs from an in-process CampaignRunner.
 //
 // Protocol. The campaign coordinator (`pmlp campaign --checkpoint DIR`)
 // writes a manifest (`campaign.txt`) describing the dataset x seed grid;
 // any number of workers then join with `--worker --checkpoint DIR`. A
-// worker claims one flow at a time through a per-flow lease file
-// (`claim.lock`, created with O_CREAT|O_EXCL — the filesystem arbitrates,
-// exactly one creator wins), runs ONE pipeline stage to its atomic
-// checkpoint commit, releases the lease and moves on round-robin. Stage
-// granularity keeps the grid balanced: a slow flow never pins a worker for
-// its whole pipeline, and a killed worker forfeits at most one stage of
-// work.
+// claim is a per-flow lease file (`claim.lock`, created with
+// O_CREAT|O_EXCL — the filesystem arbitrates, exactly one creator wins).
+// The claim builds a fresh engine, which reloads whatever any worker
+// committed, runs ONE stage to its atomic checkpoint commit, and releases
+// the lease; the worker moves on round-robin. A killed worker forfeits at
+// most one stage of work.
 //
 // Liveness. While a worker holds a lease its heartbeat thread refreshes a
 // monotonic counter in `beat.txt` (tmp+rename, per-worker temp name).
@@ -20,7 +22,8 @@
 // host clock comparison — or immediately when the claim names a pid on
 // their host that no longer exists. A stale lease is stolen by renaming
 // `claim.lock` aside (atomic: exactly one thief wins the rename) and
-// re-claiming fresh.
+// re-claiming fresh. A sweep over the grid that finds every flow claimed
+// by a live owner backs off with jitter.
 //
 // Safety does NOT depend on mutual exclusion. Every stage is a
 // bit-identical recompute committed via fsync+rename (serialize.hpp), so
@@ -146,11 +149,9 @@ struct WorkerConfig {
   /// Heartbeat refresh period; must be well under lease_timeout_s.
   double heartbeat_s = 1.0;
   /// Consecutive failed claims before a flow is marked terminally failed.
+  /// Sweeps that find no work (every flow claimed by a live owner) back
+  /// off with jitter from heartbeat_s/20, doubling up to heartbeat_s.
   int max_failures = 3;
-  /// Jittered exponential backoff between sweeps that found no work
-  /// (every flow claimed by a live owner).
-  double backoff_initial_s = 0.05;
-  double backoff_max_s = 1.0;
 };
 
 /// What one worker process did (its exit summary).

@@ -392,6 +392,47 @@ TEST(SerializeArtifacts, EvaluatedPointsRoundTrip) {
   EXPECT_THROW((void)parse(bad), std::invalid_argument);
 }
 
+// save_front_dir and load_front_dir own the --save-front format together:
+// every model and every index double must come back bit for bit, and a
+// rerun with a smaller front must not leave the old models behind.
+TEST(SerializeFront, SaveFrontDirRoundTripsBitExact) {
+  const auto root = std::filesystem::temp_directory_path() /
+                    ("pmlp_serialize_front_" + std::to_string(::getpid()));
+  const std::string dir = (root / "front").string();
+  std::filesystem::remove_all(root);
+  std::vector<core::HwEvaluatedPoint> front;
+  for (std::uint64_t seed : {5u, 6u, 7u}) {
+    core::HwEvaluatedPoint p;
+    p.model = random_model(seed);
+    // No short decimal representation: only max_digits10 survives.
+    p.test_accuracy = 2.0 / 3.0 + 1e-3 * static_cast<double>(seed);
+    p.cost.area_mm2 = 100.0 / 3.0 * static_cast<double>(seed);
+    p.cost.power_uw = 1e3 / 7.0 * static_cast<double>(seed);
+    p.functional_match = seed != 6u;
+    front.push_back(std::move(p));
+  }
+  core::save_front_dir(core::front_entries(front), dir);
+  const auto loaded = core::load_front_dir(dir);
+  ASSERT_EQ(loaded.size(), front.size());
+  for (std::size_t i = 0; i < front.size(); ++i) {
+    char name[40];
+    std::snprintf(name, sizeof name, "front_%03zu.model", i);
+    EXPECT_EQ(loaded[i].file, name);
+    EXPECT_EQ(core::to_text(loaded[i].model), core::to_text(front[i].model));
+    EXPECT_EQ(loaded[i].test_accuracy, front[i].test_accuracy);
+    EXPECT_EQ(loaded[i].area_cm2, front[i].cost.area_cm2());
+    EXPECT_EQ(loaded[i].power_mw, front[i].cost.power_mw());
+    EXPECT_EQ(loaded[i].functional_match, front[i].functional_match);
+  }
+
+  front.resize(1);
+  core::save_front_dir(core::front_entries(front), dir);
+  EXPECT_EQ(core::load_front_dir(dir).size(), 1u);  // no stale front_001
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(dir + ".old"));
+  std::filesystem::remove_all(root);
+}
+
 TEST(SerializeArtifacts, NamesWithSpacesRoundTrip) {
   auto d = tiny_dataset();
   d.name = "red wine quality";

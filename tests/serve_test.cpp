@@ -13,7 +13,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -62,23 +64,19 @@ struct IndexRow {
   double power;
 };
 
-/// Write a front directory the way the CLI's save_front does: one model
-/// file per row plus an exact-precision index.tsv.
+/// Write a front directory the way the CLI does: one model file per row
+/// plus an exact-precision index.tsv.
 void write_front_dir(const fs::path& dir, const mlp::Topology& topo,
                      const std::vector<IndexRow>& rows,
                      std::uint64_t seed_base) {
-  fs::create_directories(dir);
-  std::ofstream index(dir / "index.tsv");
-  index << std::setprecision(std::numeric_limits<double>::max_digits10);
-  index << "file\ttest_accuracy\tarea_cm2\tpower_mw\tfunctional_match\n";
+  std::vector<core::FrontEntry> entries;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     char name[40];
     std::snprintf(name, sizeof name, "front_%03zu.model", i);
-    core::save_model_file(make_model(topo, seed_base + i),
-                          (dir / name).string());
-    index << name << '\t' << rows[i].accuracy << '\t' << rows[i].area << '\t'
-          << rows[i].power << "\t1\n";
+    entries.push_back({name, rows[i].accuracy, rows[i].area, rows[i].power,
+                       true, make_model(topo, seed_base + i)});
   }
+  core::save_front_dir(entries, dir.string());
 }
 
 std::vector<std::uint8_t> random_codes(int n, std::mt19937_64& rng) {
@@ -541,6 +539,55 @@ TEST(FrontServer, SocketProtocolEndToEnd) {
   serving.join();  // `stop` wound the accept loop down
   EXPECT_TRUE(server.stopping());
   EXPECT_EQ(server.stats().connections, 1);
+}
+
+// Two requests in one segment get two replies; without TCP_NODELAY on the
+// server socket Nagle holds the second reply until the client's delayed
+// ACK for the first (~40 ms on Linux once the connection runs
+// interactively). A default-option client must see both promptly.
+TEST(FrontServer, PipelinedRepliesAreNotDelayedByNagle) {
+  TempDir tmp("pmlp_serve", "nagle");
+  write_front_dir(tmp.path, kTopo, {{0.9, 1.0, 1.0}}, 650);
+  core::FrontServer server(tmp.path.string(), {.n_threads = 1});
+  server.listen();
+  std::thread serving([&] { server.serve_forever(); });
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  // Send `text` and read until `n` replies arrived; seconds taken.
+  const auto round_trip = [fd](const std::string& text, int n) {
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(::send(fd, text.data(), text.size(), 0),
+              static_cast<ssize_t>(text.size()));
+    int got = 0;
+    char chunk[4096];
+    while (got < n) {
+      const ssize_t r = ::recv(fd, chunk, sizeof chunk, 0);
+      if (r <= 0) break;
+      got += static_cast<int>(std::count(chunk, chunk + r, '\n'));
+    }
+    EXPECT_EQ(got, n);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  for (int i = 0; i < 30; ++i) (void)round_trip("models\n", 1);  // warm-up
+  std::vector<double> pairs;
+  for (int i = 0; i < 9; ++i) {
+    pairs.push_back(round_trip("models\nmodels\n", 2));
+  }
+  std::nth_element(pairs.begin(), pairs.begin() + 4, pairs.end());
+  EXPECT_LT(pairs[4], 0.020) << "median pipelined pair " << pairs[4] << " s";
+  (void)round_trip("stop\n", 1);
+  ::close(fd);
+  serving.join();
 }
 
 TEST(FrontServer, RequestStopUnblocksServeForever) {

@@ -81,8 +81,6 @@ core::WorkerConfig worker_cfg(const TempDir& dir, const std::string& id) {
   cfg.checkpoint_root = dir.path.string();
   cfg.worker_id = id;
   cfg.heartbeat_s = 0.05;
-  cfg.backoff_initial_s = 0.01;
-  cfg.backoff_max_s = 0.05;
   return cfg;
 }
 
@@ -288,6 +286,58 @@ TEST(Worker, DoneMarkersMatchGoldenBytes) {
   ASSERT_TRUE(reload_tree(dir).all_ok());
   EXPECT_EQ(read_file(dir.path / "bc_s1" / "done.txt"),
             "pmlp-done v1\nworker -\nend\n# crc32 88710705 lines 3\n");
+}
+
+// The in-memory and lease-directory claim stores share one tree: a
+// worker finishes what a stopped in-process campaign left, and the other
+// way round, bit-identical to independent flows either way.
+TEST(Worker, MixedModeDrainsBitIdenticalToIndependentFlows) {
+  for (const bool worker_first : {true, false}) {
+    SCOPED_TRACE(worker_first ? "worker, then runner" : "runner, then worker");
+    TempDir dir(worker_first ? "mixed_worker_first" : "mixed_runner_first");
+    core::save_campaign_manifest(grid_manifest(), dir.path.string());
+    int stages = 0;
+    if (worker_first) {
+      core::CampaignWorker worker(grid(), worker_cfg(dir, "first"));
+      worker.set_progress(
+          [&](const std::string&, const core::StageReport& r) {
+            if (!r.reused && ++stages == 5) worker.request_stop();
+          });
+      const auto report = worker.run();
+      EXPECT_EQ(report.stages_computed, 5);
+      EXPECT_EQ(report.flows_completed, 0);
+      const auto rest = reload_tree(dir);  // the runner finishes the tree
+      expect_matches_independent_flows(rest);
+      int reused = 0;
+      for (const auto& roll : rest.stages) reused += roll.reused;
+      EXPECT_EQ(reused, 5);
+    } else {
+      core::CampaignConfig cfg;
+      cfg.n_threads = 2;
+      cfg.checkpoint_root = dir.path.string();
+      core::CampaignRunner runner(cfg);
+      for (auto& spec : grid()) runner.add_flow(std::move(spec));
+      runner.set_progress([&](const core::CampaignProgress&) {
+        if (++stages == 5) runner.request_stop();
+      });
+      const auto first = runner.run();
+      EXPECT_EQ(first.completed, 0);
+      EXPECT_EQ(first.stopped, 2);
+      core::CampaignWorker worker(grid(), worker_cfg(dir, "second"));
+      const auto report = worker.run();  // the worker finishes the tree
+      EXPECT_EQ(report.flows_completed, 2);
+      EXPECT_GE(report.stages_reloaded, 5);
+      EXPECT_EQ(read_file(dir.path / "bc_s1" / "done.txt").rfind(
+                    "pmlp-done v1\nworker second\n", 0),
+                0u);
+    }
+    // Either way the tree now reloads as a whole, matching run_flow().
+    const auto reloaded = reload_tree(dir);
+    expect_matches_independent_flows(reloaded);
+    int reused = 0;
+    for (const auto& roll : reloaded.stages) reused += roll.reused;
+    EXPECT_EQ(reused, 2 * (core::kNumFlowStages - 1));
+  }
 }
 
 TEST(Worker, TwoConcurrentWorkersCooperate) {

@@ -149,7 +149,6 @@
 // subcommand loads the real data instead (core::suite validates the shape
 // against Table I).
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -157,7 +156,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -382,7 +380,7 @@ int cmd_baseline(const std::string& dataset) {
 
 /// An existing --save-front path must be a directory we can replace; reject
 /// a file in its place up front, like --checkpoint (the rename at the end
-/// of save_front would otherwise fail after the whole training run).
+/// of save_front_dir would otherwise fail after the whole training run).
 void validate_save_front_path(const std::string& dir) {
   if (dir.empty()) return;
   std::error_code ec;
@@ -391,50 +389,6 @@ void validate_save_front_path(const std::string& dir) {
     throw UsageError("--save-front path '" + dir +
                      "' exists and is not a directory");
   }
-}
-
-/// Publish the front atomically, like the --json JsonSink: write everything
-/// into a `.tmp` sibling directory, then rename into place, removing any
-/// previous directory only after the new one is complete. A rerun with a
-/// smaller front therefore never leaves stale front_NNN.model files from an
-/// earlier run next to a fresh index.tsv, and a killed run never leaves a
-/// half-written directory under the published name.
-void save_front(const core::FlowResult& result, const std::string& dir) {
-  namespace fs = std::filesystem;
-  const fs::path target(dir);
-  const fs::path tmp(dir + ".tmp");
-  const fs::path old(dir + ".old");
-  fs::remove_all(tmp);  // leftovers of a previously killed run
-  fs::remove_all(old);
-  fs::create_directories(tmp);
-  std::ofstream index(tmp / "index.tsv");
-  if (!index) {
-    throw std::runtime_error("cannot write " + (tmp / "index.tsv").string());
-  }
-  // max_digits10 round-trips the doubles exactly, so the index always
-  // agrees with the model artifacts and selector queries never tie-break
-  // on rounded values.
-  index << std::setprecision(std::numeric_limits<double>::max_digits10);
-  index << "file\ttest_accuracy\tarea_cm2\tpower_mw\tfunctional_match\n";
-  for (std::size_t i = 0; i < result.front.size(); ++i) {
-    const auto& p = result.front[i];
-    char name[40];
-    std::snprintf(name, sizeof name, "front_%03zu.model", i);
-    core::save_model_file(p.model, (tmp / name).string());
-    index << name << '\t' << p.test_accuracy << '\t' << p.cost.area_cm2()
-          << '\t' << p.cost.power_mw() << '\t'
-          << (p.functional_match ? 1 : 0) << '\n';
-  }
-  index.flush();
-  if (!index) {
-    throw std::runtime_error("short write to " + (tmp / "index.tsv").string());
-  }
-  index.close();
-  if (fs::exists(target)) fs::rename(target, old);
-  fs::rename(tmp, target);
-  fs::remove_all(old);
-  std::cerr << "saved " << result.front.size() << " front designs + index to "
-            << dir << "\n";
 }
 
 int cmd_run(const std::string& dataset, int pop, int gens,
@@ -521,7 +475,11 @@ int cmd_run(const std::string& dataset, int pop, int gens,
       json_sink->finish();
     }
   }
-  if (!g_save_front.empty()) save_front(result, g_save_front);
+  if (!g_save_front.empty()) {
+    core::save_front_dir(core::front_entries(result.front), g_save_front);
+    std::cerr << "saved " << result.front.size()
+              << " front designs + index to " << g_save_front << "\n";
+  }
 
   if (!result.best) {
     if (!json_stdout) {
@@ -575,14 +533,60 @@ std::vector<std::string> campaign_dataset_names(const std::string& csv) {
   return names;
 }
 
-core::CampaignRunner* g_campaign_runner = nullptr;  // SIGINT/SIGTERM -> stop
-core::CampaignWorker* g_campaign_worker = nullptr;
+/// While alive, SIGINT/SIGTERM call `target.request_stop()` — one atomic
+/// store: a campaign finishes its in-flight stages, releases its leases
+/// and leaves the tree resumable; a server winds its loops down.
+template <class Target>
+class StopOnSignal {
+ public:
+  explicit StopOnSignal(Target& target) {
+    target_ = &target;
+    const auto stop = [](int) { target_->request_stop(); };
+    std::signal(SIGINT, stop);
+    std::signal(SIGTERM, stop);
+  }
+  ~StopOnSignal() {
+    std::signal(SIGINT, SIG_DFL);
+    std::signal(SIGTERM, SIG_DFL);
+  }
+  StopOnSignal(const StopOnSignal&) = delete;
+  StopOnSignal& operator=(const StopOnSignal&) = delete;
 
-void campaign_sigint(int) {
-  // One atomic store each: in-flight stages finish, checkpoints/leases are
-  // released cleanly, and the tree stays resumable.
-  if (g_campaign_runner != nullptr) g_campaign_runner->request_stop();
-  if (g_campaign_worker != nullptr) g_campaign_worker->request_stop();
+ private:
+  static inline Target* target_ = nullptr;
+};
+
+/// One flow spec per manifest row; each dataset is generated once and
+/// shared by its seeds.
+std::vector<core::CampaignFlowSpec> manifest_specs(
+    const core::CampaignManifest& manifest) {
+  std::map<std::string, datasets::Dataset> loaded;
+  std::vector<core::CampaignFlowSpec> specs;
+  for (const auto& row : manifest.flows) {
+    auto it = loaded.find(row.dataset);
+    if (it == loaded.end()) {
+      it = loaded.emplace(row.dataset, core::load_paper_dataset(row.dataset))
+               .first;
+    }
+    core::CampaignFlowSpec spec;
+    spec.name = row.name;
+    spec.dataset = row.dataset;
+    spec.data = it->second;
+    spec.topology = core::paper_topology(row.dataset);
+    spec.config = default_flow(manifest.population, manifest.generations);
+    spec.config.trainer.ga.seed = row.seed;
+    spec.config.trainer.ga.checkpoint_every = manifest.ga_checkpoint;
+    specs.push_back(std::move(spec));
+  }
+  return specs;
+}
+
+/// Progress line of one completed (or reloaded) stage.
+void print_stage(const std::string& who, const core::StageReport& r,
+                 const std::string& tail = "") {
+  std::cerr << "  [" << who << "] stage " << core::flow_stage_name(r.stage)
+            << ": " << r.wall_seconds << " s, " << r.items << " items"
+            << (r.reused ? " (reused)" : "") << tail << "\n";
 }
 
 /// The worker-mode flags are meaningless without --worker; catching them
@@ -612,55 +616,37 @@ int cmd_campaign(int pop, int gens) {
     }
   }
 
-  core::CampaignConfig ccfg;
-  ccfg.n_threads = g_threads;
-  ccfg.checkpoint_root = g_checkpoint;
-  core::CampaignRunner runner(ccfg);
   core::CampaignManifest manifest;
   manifest.population = pop;
   manifest.generations = gens;
   manifest.ga_checkpoint = g_ga_checkpoint;
   for (const auto& name : names) {
-    // One synthetic generation per dataset; the seed grid shares copies.
-    const auto data = core::load_paper_dataset(name);
     for (int seed = 1; seed <= g_seeds; ++seed) {
-      core::CampaignFlowSpec spec;
-      spec.name = name + "_s" + std::to_string(seed);
-      spec.dataset = name;
-      spec.data = data;
-      spec.topology = core::paper_topology(name);
-      spec.config = default_flow(pop, gens);
-      spec.config.trainer.ga.seed = static_cast<std::uint64_t>(seed);
-      spec.config.trainer.ga.checkpoint_every = g_ga_checkpoint;
-      manifest.flows.push_back(
-          {spec.name, name, static_cast<std::uint64_t>(seed)});
-      runner.add_flow(std::move(spec));
+      manifest.flows.push_back({name + "_s" + std::to_string(seed), name,
+                                static_cast<std::uint64_t>(seed)});
     }
   }
+  core::CampaignConfig ccfg;
+  ccfg.n_threads = g_threads;
+  ccfg.checkpoint_root = g_checkpoint;
+  core::CampaignRunner runner(ccfg);
+  for (auto& spec : manifest_specs(manifest)) runner.add_flow(std::move(spec));
   if (!g_checkpoint.empty()) {
     // The manifest makes the tree self-describing: `--worker` processes
     // and `campaign status` reconstruct the grid from it alone.
     core::save_campaign_manifest(manifest, g_checkpoint);
   }
-  const int total = static_cast<int>(names.size()) * g_seeds;
-  std::cerr << "campaign: " << total << " flows (" << names.size()
-            << " datasets x " << g_seeds << " seeds), NSGA-II " << pop << "x"
-            << gens << ", shared pool of "
-            << core::resolve_n_threads(g_threads) << " workers\n";
+  std::cerr << "campaign: " << manifest.flows.size() << " flows ("
+            << names.size() << " datasets x " << g_seeds
+            << " seeds), NSGA-II " << pop << "x" << gens << ", "
+            << core::resolve_n_threads(g_threads) << " scheduler threads\n";
   runner.set_progress([](const core::CampaignProgress& p) {
-    std::cerr << "  [" << p.flow_name << "] stage "
-              << core::flow_stage_name(p.stage.stage) << ": "
-              << p.stage.wall_seconds << " s, " << p.stage.items << " items"
-              << (p.stage.reused ? " (reused)" : "") << "  (" << p.flows_done
-              << "/" << p.flows_total << " flows done)\n";
+    print_stage(p.flow_name, p.stage,
+                "  (" + std::to_string(p.flows_done) + "/" +
+                    std::to_string(p.flows_total) + " flows done)");
   });
-  g_campaign_runner = &runner;
-  std::signal(SIGINT, campaign_sigint);
-  std::signal(SIGTERM, campaign_sigint);
+  const StopOnSignal on_signal(runner);
   const auto result = runner.run();
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-  g_campaign_runner = nullptr;
 
   const bool json_stdout = g_json == "-";
   if (!json_stdout) {
@@ -718,30 +704,8 @@ int cmd_campaign_worker() {
   if (g_checkpoint.empty()) {
     throw UsageError("--worker requires --checkpoint DIR");
   }
-  const auto manifest = core::load_campaign_manifest(g_checkpoint);
-
-  std::vector<core::CampaignFlowSpec> specs;
-  std::vector<std::pair<std::string, datasets::Dataset>> loaded;
-  for (const auto& f : manifest.flows) {
-    const datasets::Dataset* data = nullptr;
-    for (const auto& [name, d] : loaded) {
-      if (name == f.dataset) data = &d;
-    }
-    if (data == nullptr) {
-      loaded.emplace_back(f.dataset, core::load_paper_dataset(f.dataset));
-      data = &loaded.back().second;
-    }
-    core::CampaignFlowSpec spec;
-    spec.name = f.name;
-    spec.dataset = f.dataset;
-    spec.data = *data;
-    spec.topology = core::paper_topology(f.dataset);
-    spec.config = default_flow(manifest.population, manifest.generations);
-    spec.config.trainer.ga.seed = f.seed;
-    spec.config.trainer.ga.checkpoint_every =
-        g_ga_checkpoint_set ? g_ga_checkpoint : manifest.ga_checkpoint;
-    specs.push_back(std::move(spec));
-  }
+  auto manifest = core::load_campaign_manifest(g_checkpoint);
+  if (g_ga_checkpoint_set) manifest.ga_checkpoint = g_ga_checkpoint;
 
   core::WorkerConfig wcfg;
   wcfg.checkpoint_root = g_checkpoint;
@@ -749,26 +713,17 @@ int cmd_campaign_worker() {
   wcfg.lease_timeout_s = g_lease_timeout;
   wcfg.heartbeat_s = g_heartbeat;
   wcfg.max_failures = g_max_failures;
-  core::CampaignWorker worker(std::move(specs), wcfg);
+  core::CampaignWorker worker(manifest_specs(manifest), wcfg);
   worker.set_progress(
       [&worker](const std::string& flow, const core::StageReport& r) {
-        std::cerr << "  [" << worker.worker_id() << " @ " << flow
-                  << "] stage " << core::flow_stage_name(r.stage) << ": "
-                  << r.wall_seconds << " s, " << r.items << " items"
-                  << (r.reused ? " (reused)" : "") << "\n";
+        print_stage(worker.worker_id() + " @ " + flow, r);
       });
   std::cerr << "worker " << worker.worker_id() << ": joining campaign tree "
             << g_checkpoint << " (" << manifest.flows.size()
             << " flows, lease timeout " << g_lease_timeout
             << " s, heartbeat " << g_heartbeat << " s)\n";
-
-  g_campaign_worker = &worker;
-  std::signal(SIGINT, campaign_sigint);
-  std::signal(SIGTERM, campaign_sigint);
+  const StopOnSignal on_signal(worker);
   const auto report = worker.run();
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-  g_campaign_worker = nullptr;
 
   std::cout << "worker " << report.worker_id << ": "
             << report.stages_computed << " stages computed, "
@@ -842,12 +797,6 @@ int cmd_evaluate(const std::string& model_path, const std::string& dataset) {
   return 0;
 }
 
-core::FrontServer* g_server = nullptr;  // SIGINT -> graceful stop
-
-void serve_sigint(int) {
-  if (g_server != nullptr) g_server->request_stop();  // one atomic store
-}
-
 int cmd_serve(const std::string& dir) {
   {
     std::error_code ec;
@@ -867,13 +816,10 @@ int cmd_serve(const std::string& dir) {
   std::cerr << "serving " << server.models().size() << " models from " << dir
             << " (pool of " << server.pool_size() << " workers, batch "
             << cfg.max_batch << "); `stop` or SIGINT shuts down\n";
-  g_server = &server;
-  std::signal(SIGINT, serve_sigint);
-  std::signal(SIGTERM, serve_sigint);
-  server.serve_forever();
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-  g_server = nullptr;
+  {
+    const StopOnSignal on_signal(server);
+    server.serve_forever();
+  }
   const auto stats = server.stats();
   std::cerr << "served " << stats.requests << " requests in " << stats.batches
             << " batches (max batch " << stats.max_batch << ", avg fill "
