@@ -254,13 +254,16 @@ struct CampaignWorker::Impl final : ClaimStore {
   // Heartbeat thread state: which flow directory to beat for ("" = none),
   // and whether the claim disappeared under us (fencing). `lease_gen`
   // increments on every begin/end so an in-flight beat iteration for a
-  // PREVIOUS lease can never set lease_lost for the current one.
+  // PREVIOUS lease can never set lease_lost for the current one. The
+  // beater waits on `beater_exit || beat_now`, so a notify that lands
+  // while it is not waiting is not lost.
   std::thread beater;
   std::mutex beat_mutex;
   std::condition_variable beat_cv;
   std::string beat_dir;          // guarded by beat_mutex
   long lease_gen = 0;            // guarded by beat_mutex
   bool beater_exit = false;      // guarded by beat_mutex
+  bool beat_now = false;         // guarded by beat_mutex
   std::atomic<bool> lease_lost{false};
   long beat_count = 0;  ///< beater thread only
 
@@ -288,9 +291,10 @@ struct CampaignWorker::Impl final : ClaimStore {
   void beater_loop() {
     std::unique_lock<std::mutex> lock(beat_mutex);
     for (;;) {
-      beat_cv.wait_for(lock,
-                       std::chrono::duration<double>(cfg.heartbeat_s));
+      beat_cv.wait_for(lock, std::chrono::duration<double>(cfg.heartbeat_s),
+                       [this] { return beater_exit || beat_now; });
       if (beater_exit) return;
+      beat_now = false;
       if (beat_dir.empty()) continue;
       const std::string flow_dir = beat_dir;
       const long gen = lease_gen;
@@ -323,6 +327,7 @@ struct CampaignWorker::Impl final : ClaimStore {
     {
       std::lock_guard<std::mutex> lock(beat_mutex);
       beat_dir = flow_dir;
+      beat_now = true;
       ++lease_gen;
       lease_lost.store(false);
     }

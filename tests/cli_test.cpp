@@ -15,8 +15,10 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "pmlp/core/serialize.hpp"
+#include "pmlp/core/worker.hpp"
 
 namespace fs = std::filesystem;
 
@@ -44,9 +46,30 @@ CliResult run_cli(const std::string& args) {
 
 /// The error path must exit with the usage code, not crash: a raw
 /// exception reaching std::terminate aborts (WIFEXITED false -> -1).
-void expect_usage_error(const CliResult& r, const char* needle) {
+void expect_usage_error(const CliResult& r, const std::string& needle) {
   EXPECT_EQ(r.status, 2) << r.out;
   EXPECT_NE(r.out.find(needle), std::string::npos) << r.out;
+}
+
+/// Each flag (with its value, if any) appended to `cmdline` is rejected by
+/// name.
+void expect_each_flag_rejected(const std::string& cmdline,
+                               const std::vector<std::string>& flags) {
+  for (const auto& flag : flags) {
+    SCOPED_TRACE(flag);
+    expect_usage_error(run_cli(cmdline + " " + flag),
+                       flag.substr(0, flag.find(' ')) + " is not supported");
+  }
+}
+
+/// A campaign tree holding only an empty manifest: `campaign status` and
+/// `campaign --worker` accept it and finish at once.
+fs::path empty_campaign_tree(const char* tag) {
+  const fs::path dir = fs::temp_directory_path() / tag;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  pmlp::core::save_campaign_manifest({}, dir.string());
+  return dir;
 }
 
 }  // namespace
@@ -308,4 +331,68 @@ TEST(Cli, ListSucceeds) {
   const auto r = run_cli("list");
   EXPECT_EQ(r.status, 0) << r.out;
   EXPECT_NE(r.out.find("BreastCancer"), std::string::npos);
+}
+
+TEST(Cli, CampaignStatusRejectsGridFlags) {
+  const fs::path tree = empty_campaign_tree("pmlp_cli_test_status_flags");
+  const std::string status = "campaign status --checkpoint " + tree.string();
+  ASSERT_EQ(run_cli(status).status, 0);
+  expect_each_flag_rejected(status, {"--seeds 5", "--datasets Cardio",
+                                     "--resume", "--ga-checkpoint 3"});
+  fs::remove_all(tree);
+}
+
+TEST(Cli, CampaignWorkerRejectsCoordinatorFlags) {
+  const fs::path tree = empty_campaign_tree("pmlp_cli_test_worker_flags");
+  const fs::path json = tree / "w.json";
+  const std::string worker = "campaign --worker --checkpoint " + tree.string();
+  ASSERT_EQ(run_cli(worker).status, 0);
+  expect_each_flag_rejected(worker, {"--json " + json.string(),
+                                     "--datasets Cardio", "--seeds 4",
+                                     "--resume"});
+  EXPECT_FALSE(fs::exists(json));
+  fs::remove_all(tree);
+}
+
+TEST(Cli, UnknownOptionsReportedByName) {
+  expect_usage_error(run_cli("run BreastCancer --thread 4"),
+                     "unknown option '--thread'");
+  expect_usage_error(
+      run_cli("campaign --worker --checkpoint /tmp --heartbeats 2"),
+      "unknown option '--heartbeats'");
+  expect_usage_error(run_cli("list --verbose"), "unknown option '--verbose'");
+  // A bare "-" stays a value: the dataset of export-rtl, the stdout
+  // target of --json.
+  const auto rtl = run_cli("export-rtl /nonexistent_dir_xyz/front - out");
+  EXPECT_EQ(rtl.status, 1) << rtl.out;
+  const fs::path tree = empty_campaign_tree("pmlp_cli_test_json_dash");
+  const auto json =
+      run_cli("campaign status --json - --checkpoint " + tree.string());
+  EXPECT_EQ(json.status, 0) << json.out;
+  EXPECT_EQ(json.out.rfind("{", 0), 0u) << json.out;
+  fs::remove_all(tree);
+}
+
+TEST(Cli, UsageListsEverySubcommandAndFlag) {
+  const auto r = run_cli("");
+  EXPECT_EQ(r.status, 2) << r.out;
+  for (const char* row :
+       {"pmlp list", "pmlp metrics <dataset>", "pmlp baseline <dataset>",
+        "pmlp run <dataset>", "pmlp resume <dataset>",
+        "pmlp campaign status --checkpoint DIR",
+        "pmlp campaign --worker --checkpoint DIR", "pmlp campaign [pop]",
+        "pmlp serve <front-dir>", "pmlp classify <model>",
+        "pmlp evaluate <model> <dataset>", "pmlp export-rtl <front|model>",
+        "pmlp verify-rtl <front|model>"}) {
+    EXPECT_NE(r.out.find(row), std::string::npos) << row << "\n" << r.out;
+  }
+  for (const char* flag :
+       {"--threads N", "--cache N", "--checkpoint DIR", "--json FILE",
+        "--save-front DIR", "--datasets A,B,C", "--seeds K", "--resume",
+        "--ga-checkpoint K", "--worker", "--worker-id ID",
+        "--lease-timeout S", "--heartbeat S", "--max-failures N", "--port N",
+        "--batch N", "--rtl-vectors N", "--rtl-random N", "--require-sim"}) {
+    EXPECT_NE(r.out.find(std::string("\n  ") + flag), std::string::npos)
+        << flag << "\n" << r.out;
+  }
 }

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -264,6 +265,27 @@ TEST(Worker, DrainsGridBitIdenticalToIndependentFlows) {
     EXPECT_EQ(row.next_stage, "-") << row.name;
     EXPECT_TRUE(row.done) << row.name;
   }
+}
+
+// On a drained tree run() has nothing to claim and must return at once.
+// The stop notify can land before the heartbeat thread first waits; a wait
+// without a predicate then sleeps out a whole heartbeat period.
+TEST(Worker, DrainedTreeReturnsWithoutWaitingOutAHeartbeat) {
+  TempDir dir("drained");
+  core::save_campaign_manifest(grid_manifest(), dir.path.string());
+  ASSERT_EQ(core::CampaignWorker(grid(), worker_cfg(dir, "first"))
+                .run()
+                .flows_completed,
+            2);
+  auto cfg = worker_cfg(dir, "second");
+  cfg.heartbeat_s = 5.0;
+  core::CampaignWorker worker(grid(), cfg);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto report = worker.run();
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(report.claims, 0);
+  EXPECT_LT(wall.count(), 1.0);
 }
 
 std::string read_file(const fs::path& path) {

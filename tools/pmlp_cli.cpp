@@ -1,168 +1,26 @@
 // pmlp — command-line front end for the printed-MLP GA-AxC framework.
 //
-//   pmlp list                         datasets and Table I topologies
-//   pmlp metrics <dataset>            dataset diagnostics (priors, Fisher)
-//   pmlp baseline <dataset>           exact bespoke baseline cost/accuracy
-//   pmlp run <dataset> [pop] [gens] [model-out]
-//                                     staged FlowEngine pipeline with
-//                                     per-stage progress; saves the Table II
-//                                     pick as a .model file, prints front
-//   pmlp resume <dataset> [pop] [gens] [model-out]
-//                                     like run, but requires an existing
-//                                     --checkpoint DIR and continues from
-//                                     whatever stages are already on disk
-//   pmlp evaluate <model> <dataset>   re-score a saved model (acc, area,
-//                                     power, feasibility zone @1V/0.6V)
-//   pmlp export-rtl <front|model> [dataset|-] [outdir]
-//                                     verified RTL export of a whole saved
-//                                     front (--save-front dir or campaign
-//                                     checkpoint tree) or one .model file:
-//                                     per point an optimized DUT, a
-//                                     self-checking testbench (recorded
-//                                     dataset vectors + LFSR random
-//                                     stimulus) and a manifest.tsv row,
-//                                     after asserting bit-identical classes
-//                                     across the C++ oracle, the gate-level
-//                                     simulator and the in-process
-//                                     evaluation of the emitted Verilog.
-//                                     dataset "-" derives each point's
-//                                     dataset from the campaign tree path
-//                                     (random-only stimulus otherwise);
-//                                     outdir defaults to <input>_rtl
-//   pmlp verify-rtl <front|model> [dataset|-] [outdir]
-//                                     export-rtl, then compile+run every
-//                                     testbench with a discovered iverilog/
-//                                     verilator and require TESTBENCH PASS.
-//                                     No simulator installed is a graceful
-//                                     skip (exit 0) unless --require-sim
-//   pmlp campaign [pop] [gens]        run a dataset x seed grid of flows
-//                                     concurrently over ONE shared worker
-//                                     pool (--threads N workers total; no
-//                                     per-flow thread forests). With
-//                                     --checkpoint DIR each flow persists
-//                                     under DIR/<dataset>_sK, a manifest
-//                                     (campaign.txt) describes the grid,
-//                                     and a killed campaign resumes
-//                                     bit-identically; --json FILE writes
-//                                     the aggregated campaign report.
-//                                     Per-flow fronts are bit-identical to
-//                                     N independent runs. SIGINT/SIGTERM
-//                                     stop gracefully (checkpoints stay
-//                                     resumable).
-//   pmlp campaign --worker --checkpoint DIR
-//                                     join an existing campaign tree as a
-//                                     crash-safe distributed worker: claim
-//                                     unowned flows via per-flow lease
-//                                     files, run one stage per claim to
-//                                     its atomic commit, reclaim stale
-//                                     leases of dead/stalled workers. Any
-//                                     number of workers may drain one tree
-//                                     concurrently; a SIGKILLed worker
-//                                     forfeits at most one stage of work
-//                                     and the surviving workers finish the
-//                                     grid with bit-identical fronts.
-//   pmlp campaign status --checkpoint DIR
-//                                     render grid progress from the tree
-//                                     alone: per-flow stage counts, owner,
-//                                     heartbeat age, failure records
-//                                     (--json FILE|- for machine use).
-//   pmlp serve <front-dir>            long-lived classify server over a
-//                                     --save-front directory or a campaign
-//                                     checkpoint tree: line protocol on a
-//                                     localhost TCP socket (--port N; 0 =
-//                                     OS-assigned, printed as "listening
-//                                     127.0.0.1 PORT"), request batching
-//                                     (--batch N) over the --threads pool,
-//                                     `reload` hot-swaps a re-read front,
-//                                     `stop` / SIGINT shut down gracefully
-//   pmlp classify <model> <code...>   classify ONE quantized feature vector
-//                                     with a saved model (the offline
-//                                     reference for serve answers)
-//
-// Serve options:
-//   --port N                          TCP port (default 0 = OS-assigned)
-//   --batch N                         max requests per dispatched batch
-//                                     (default 64)
-//
-// Campaign options:
-//   --datasets A,B,C                  Table I subset (default: all five)
-//   --seeds K                         GA seeds 1..K per dataset (default 1)
-//   --resume                          require an existing --checkpoint root
-//                                     and continue from the completed stages
-//   --ga-checkpoint K                 GA generation-level checkpointing:
-//                                     persist the evolution state every K
-//                                     generations (ga_state.txt) so a
-//                                     killed GA stage resumes from its last
-//                                     block (0 = off; bit-identical either
-//                                     way; excluded from the config
-//                                     fingerprint)
-//
-// Worker options (campaign --worker):
-//   --worker                          drain an existing tree instead of
-//                                     running the grid in-process
-//   --worker-id ID                    stable worker identity (default
-//                                     <host>-<pid>-<random>)
-//   --lease-timeout S                 seconds without (claim, beat) change
-//                                     before a lease counts as stale and
-//                                     may be stolen (default 10)
-//   --heartbeat S                     lease refresh period (default 1)
-//   --max-failures N                  consecutive failed claims before a
-//                                     flow is marked terminally failed
-//                                     (default 3)
-//
-// RTL options (export-rtl / verify-rtl):
-//   --rtl-vectors N                   recorded dataset vectors per point
-//                                     (default 64)
-//   --rtl-random N                    LFSR random vectors per point
-//                                     (default 64)
-//   --require-sim                     verify-rtl: a missing simulator is a
-//                                     failure (exit 1), not a skip — the CI
-//                                     setting
-//
-// Every subcommand takes at most the positionals shown above; an extra one
-// (or an unknown subcommand) is a usage error, exit 2, before any work.
-//
-// Global options:
-//   --threads N                      flow-wide parallelism: GA fitness
-//                                     evaluation and hardware analysis
-//                                     (0 = all hardware threads, the
-//                                     default; 1 = serial; bit-identical
-//                                     results for any setting)
-//   --cache N                         genome memo-cache capacity of the
-//                                     evaluation engine (entries; 0 = off;
-//                                     default 4096; bit-identical results
-//                                     for any setting)
-//   --checkpoint DIR                  persist every stage artifact under
-//                                     DIR; a later run/resume with the same
-//                                     dataset and config continues from the
-//                                     completed stages bit-identically
-//   --json FILE                       machine-readable FlowResult report
-//                                     (stages, counters, every evaluated
-//                                     point, the pick); "-" = stdout
-//   --save-front DIR                  dump every true-Pareto model into DIR
-//                                     (front_NNN.model) plus an index.tsv
-//                                     with accuracy/area/power per design
-//
-// Datasets are the synthetic paper suite by default. Set PMLP_UCI_DIR to a
-// directory holding the real UCI files (breast-cancer-wisconsin.data,
-// cardio.csv, pendigits.tra, winequality-{red,white}.csv) and every
-// subcommand loads the real data instead (core::suite validates the shape
-// against Table I).
+// Run `pmlp` without arguments for the reference: every subcommand with its
+// positionals and accepted flags, then every flag with its help line. Both
+// lists are the two tables below (kFlags, kSubcommands); parsing,
+// validation, usage text and dispatch all derive from them. Exit codes:
+// 0 ok, 1 runtime failure, 2 usage error (reported before any work).
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
-#include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "pmlp/core/campaign.hpp"
@@ -184,7 +42,276 @@ namespace {
 
 using namespace pmlp;
 
-int cmd_list() {
+/// Every flag's value as given on the command line; an unset field means
+/// the subcommand's default.
+struct Options {
+  std::optional<int> threads;
+  std::optional<int> cache;
+  std::optional<std::string> checkpoint;
+  std::optional<std::string> json;
+  std::optional<std::string> save_front;
+  std::optional<std::string> datasets;
+  std::optional<int> seeds;
+  bool resume = false;
+  std::optional<int> ga_checkpoint;
+  bool worker = false;
+  std::optional<std::string> worker_id;
+  std::optional<double> lease_timeout;
+  std::optional<double> heartbeat;
+  std::optional<int> max_failures;
+  std::optional<int> port;
+  std::optional<int> batch;
+  std::optional<int> rtl_vectors;
+  std::optional<int> rtl_random;
+  bool require_sim = false;
+  std::vector<std::string> positionals;  ///< subcommand words included
+};
+
+/// Positionals after the subcommand's own words.
+using Args = std::vector<std::string>;
+
+/// Usage-level argument errors throw this; main() maps it to exit code 2
+/// (runtime failures exit 1) instead of letting anything escape uncaught.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+/// How a flag's value is parsed; the field type matches the kind.
+enum class Kind { kSwitch, kNonNeg, kPositive, kPort, kSeconds, kText };
+
+struct Flag {
+  const char* name;
+  Kind kind;
+  std::variant<bool Options::*, std::optional<int> Options::*,
+               std::optional<double> Options::*,
+               std::optional<std::string> Options::*>
+      field;
+  const char* metavar;
+  const char* help;
+  bool every_subcommand = false;
+};
+
+const Flag kFlags[] = {
+    {"--threads", Kind::kNonNeg, &Options::threads, "N",
+     "worker threads (0 = all hardware threads, the default; every N gives "
+     "bit-identical results)", true},
+    {"--cache", Kind::kNonNeg, &Options::cache, "N",
+     "genome memo-cache entries (0 = off; default 4096; bit-identical)", true},
+    {"--checkpoint", Kind::kText, &Options::checkpoint, "DIR",
+     "persist stage artifacts under DIR; a rerun reuses completed stages"},
+    {"--json", Kind::kText, &Options::json, "FILE",
+     "machine-readable report (\"-\" = stdout)"},
+    {"--save-front", Kind::kText, &Options::save_front, "DIR",
+     "save every Pareto model plus index.tsv into DIR"},
+    {"--datasets", Kind::kText, &Options::datasets, "A,B,C",
+     "Table I subset (default: all five)"},
+    {"--seeds", Kind::kPositive, &Options::seeds, "K",
+     "GA seeds 1..K per dataset (default 1)"},
+    {"--resume", Kind::kSwitch, &Options::resume, "",
+     "continue the existing --checkpoint tree"},
+    {"--ga-checkpoint", Kind::kNonNeg, &Options::ga_checkpoint, "K",
+     "save the GA state every K generations (0 = off, the default)"},
+    {"--worker", Kind::kSwitch, &Options::worker, "",
+     "drain an existing campaign tree instead of running the grid"},
+    {"--worker-id", Kind::kText, &Options::worker_id, "ID",
+     "worker identity (default <host>-<pid>-<random>)"},
+    {"--lease-timeout", Kind::kSeconds, &Options::lease_timeout, "S",
+     "seconds of no claim or beat change before a lease may be stolen "
+     "(default 10)"},
+    {"--heartbeat", Kind::kSeconds, &Options::heartbeat, "S",
+     "lease refresh period (default 1)"},
+    {"--max-failures", Kind::kPositive, &Options::max_failures, "N",
+     "failed claims in a row before a flow is marked failed (default 3)"},
+    {"--port", Kind::kPort, &Options::port, "N",
+     "TCP port on 127.0.0.1 (default 0 = OS-assigned, printed on stdout)"},
+    {"--batch", Kind::kPositive, &Options::batch, "N",
+     "max requests per batch (default 64)"},
+    {"--rtl-vectors", Kind::kNonNeg, &Options::rtl_vectors, "N",
+     "recorded dataset vectors per point (default 64)"},
+    {"--rtl-random", Kind::kNonNeg, &Options::rtl_random, "N",
+     "LFSR random vectors per point (default 64)"},
+    {"--require-sim", Kind::kSwitch, &Options::require_sim, "",
+     "a missing Verilog simulator fails (exit 1) instead of skipping"},
+};
+
+/// Parse an int of an int-valued kind; throws UsageError naming `what`
+/// (overflow included, so huge values can't silently wrap).
+int parse_int(const std::string& what, const std::string& value, Kind kind) {
+  const long lo = kind == Kind::kPositive ? 1 : 0;
+  const long hi = kind == Kind::kPort ? 65535 : std::numeric_limits<int>::max();
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(value.c_str(), &end, 10);
+  if (end == value.c_str() || *end != '\0' || errno == ERANGE || v < lo ||
+      v > hi) {
+    const char* expects = kind == Kind::kPositive ? "a positive int"
+                          : kind == Kind::kPort   ? "a TCP port in 0..65535"
+                                                  : "a non-negative int";
+    throw UsageError(what + " expects " + expects + ", got '" + value + "'");
+  }
+  return static_cast<int>(v);
+}
+
+void set_flag(Options& o, const Flag& f, const std::string& value) {
+  std::visit(
+      [&](auto member) {
+        auto& slot = o.*member;
+        using T = std::decay_t<decltype(slot)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          slot = true;
+        } else if constexpr (std::is_same_v<T, std::optional<int>>) {
+          slot = parse_int(f.name, value, f.kind);
+        } else if constexpr (std::is_same_v<T, std::optional<double>>) {
+          errno = 0;
+          char* end = nullptr;
+          slot = std::strtod(value.c_str(), &end);
+          if (end == value.c_str() || *end != '\0' || !(*slot > 0.0) ||
+              errno == ERANGE) {
+            throw UsageError(std::string(f.name) +
+                             " expects positive seconds, got '" + value + "'");
+          }
+        } else {
+          if (value.empty()) {
+            throw UsageError(std::string(f.name) + " expects a value");
+          }
+          slot = value;
+        }
+      },
+      f.field);
+}
+
+bool is_set(const Options& o, const Flag& f) {
+  return std::visit([&](auto member) { return bool(o.*member); }, f.field);
+}
+
+const Flag* find_flag(const std::string& name) {
+  for (const auto& f : kFlags) {
+    if (name == f.name) return &f;
+  }
+  return nullptr;
+}
+
+/// Flags may appear anywhere on the line; a valued flag takes the next
+/// argument whatever it looks like. "-" (stdout, "derive the dataset") and
+/// negative numbers are positionals, not options.
+Options parse_argv(int argc, char** argv) {
+  Options o;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.size() < 2 || arg[0] != '-' ||
+        std::isdigit(static_cast<unsigned char>(arg[1]))) {
+      o.positionals.push_back(arg);
+      continue;
+    }
+    const Flag* f = find_flag(arg);
+    if (f == nullptr) throw UsageError("unknown option '" + arg + "'");
+    if (f->kind == Kind::kSwitch) {
+      set_flag(o, *f, "");
+    } else if (i + 1 < argc) {
+      set_flag(o, *f, argv[++i]);
+    } else {
+      throw UsageError(arg + " requires a value");
+    }
+  }
+  return o;
+}
+
+std::vector<std::string> words(const std::string& text) {
+  std::istringstream is(text);
+  std::vector<std::string> out;
+  for (std::string w; is >> w;) out.push_back(w);
+  return out;
+}
+
+/// Validate a dataset argument up front: an unknown name is a usage error
+/// (exit 2, message lists the valid choices). Runtime invalid_argument
+/// throws from corrupt artifacts etc. stay runtime failures (exit 1).
+void require_dataset(const std::string& name) {
+  try {
+    (void)core::find_paper_spec(name);
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(e.what());
+  }
+}
+
+/// An existing --checkpoint/--save-front path must be a directory we can
+/// extend or replace; a file in its place would otherwise surface as a raw
+/// filesystem error only after minutes of training.
+void require_dir_or_absent(const char* flag,
+                           const std::optional<std::string>& dir) {
+  std::error_code ec;
+  if (dir && std::filesystem::exists(*dir, ec) &&
+      !std::filesystem::is_directory(*dir, ec)) {
+    throw UsageError(std::string(flag) + " path '" + *dir +
+                     "' exists and is not a directory");
+  }
+}
+
+/// The --json target, opened up front so an unwritable path fails before
+/// the expensive run, not after it; "-" is stdout. A file is written to
+/// FILE.tmp and renamed onto FILE once complete, so a failed (or killed)
+/// run never clobbers a previous report and leaves no temp file behind.
+class JsonSink {
+ public:
+  explicit JsonSink(const std::optional<std::string>& path)
+      : path_(path.value_or("")) {
+    if (!to_file()) return;
+    file_.open(path_ + ".tmp");
+    if (!file_) throw UsageError("cannot write --json file '" + path_ + "'");
+  }
+  ~JsonSink() {
+    if (!to_file()) return;
+    file_.close();
+    std::error_code ec;
+    std::filesystem::remove(path_ + ".tmp", ec);
+  }
+  JsonSink(const JsonSink&) = delete;
+  JsonSink& operator=(const JsonSink&) = delete;
+
+  bool to_stdout() const { return path_ == "-"; }
+
+  /// Emit the report through `write(std::ostream&)`; a no-op without
+  /// --json. Throws on a short write.
+  template <class Write>
+  void write(Write&& write) {
+    if (to_stdout()) write(std::cout);
+    if (!to_file()) return;
+    write(file_);
+    file_.flush();
+    if (!file_) throw std::runtime_error("short write to " + path_ + ".tmp");
+    file_.close();
+    std::filesystem::rename(path_ + ".tmp", path_);
+    std::cerr << "wrote " << path_ << "\n";
+  }
+
+ private:
+  bool to_file() const { return !path_.empty() && !to_stdout(); }
+
+  std::string path_;
+  std::ofstream file_;
+};
+
+core::FlowConfig default_flow(const Options& o, int pop, int gens) {
+  core::FlowConfig cfg;
+  cfg.backprop.epochs = 150;
+  cfg.trainer.ga.population = pop;
+  cfg.trainer.ga.generations = gens;
+  cfg.trainer.n_threads = o.threads.value_or(0);
+  if (o.cache) cfg.trainer.problem.eval_cache_capacity = *o.cache;
+  return cfg;
+}
+
+/// The optional [pop] [gens] positionals starting at `a[first]`.
+std::pair<int, int> ga_budget(const Args& a, std::size_t first) {
+  return {a.size() > first ? parse_int("population", a[first],
+                                       Kind::kPositive)
+                           : 80,
+          a.size() > first + 1
+              ? parse_int("generations", a[first + 1], Kind::kPositive)
+              : 200};
+}
+
+int cmd_list(const Options&, const Args&) {
   std::cout << "dataset        topology   samples  classes  baseline-acc "
                "(paper)\n";
   for (const auto& row : mlp::paper_table1()) {
@@ -198,7 +325,8 @@ int cmd_list() {
   return 0;
 }
 
-int cmd_metrics(const std::string& dataset) {
+int cmd_metrics(const Options&, const Args& a) {
+  const std::string& dataset = a[0];
   const auto d = core::load_paper_dataset(dataset);
   const auto m = datasets::compute_metrics(d);
   std::cout << dataset << ": " << d.size() << " samples, " << d.n_features
@@ -213,160 +341,11 @@ int cmd_metrics(const std::string& dataset) {
   return 0;
 }
 
-int g_threads = 0;             // --threads: 0 = all hardware threads
-int g_cache = -1;              // --cache: -1 = keep the ProblemConfig default
-std::string g_checkpoint;      // --checkpoint DIR
-std::string g_json;            // --json FILE ("-" = stdout)
-std::string g_save_front;      // --save-front DIR
-std::string g_datasets;        // --datasets A,B,C (campaign; "" = all five)
-int g_seeds = 1;               // --seeds K (campaign: GA seeds 1..K)
-bool g_seeds_set = false;      // --seeds was given explicitly
-bool g_resume = false;         // --resume (campaign)
-int g_port = 0;                // --port N (serve; 0 = OS-assigned)
-bool g_port_set = false;       // --port was given explicitly
-int g_batch = 64;              // --batch N (serve: max requests per batch)
-bool g_batch_set = false;      // --batch was given explicitly
-bool g_worker = false;         // --worker (campaign: drain an existing tree)
-std::string g_worker_id;       // --worker-id (campaign --worker)
-double g_lease_timeout = 10.0; // --lease-timeout S (campaign --worker)
-bool g_lease_timeout_set = false;
-double g_heartbeat = 1.0;      // --heartbeat S (campaign --worker)
-bool g_heartbeat_set = false;
-int g_max_failures = 3;        // --max-failures N (campaign --worker)
-bool g_max_failures_set = false;
-int g_ga_checkpoint = 0;       // --ga-checkpoint K (campaign: GA gen ckpt)
-bool g_ga_checkpoint_set = false;
-int g_rtl_vectors = 64;        // --rtl-vectors N (export-rtl/verify-rtl)
-bool g_rtl_vectors_set = false;
-int g_rtl_random = 64;         // --rtl-random N (export-rtl/verify-rtl)
-bool g_rtl_random_set = false;
-bool g_require_sim = false;    // --require-sim (verify-rtl)
-
-/// Usage-level argument errors throw this; main() maps it to exit code 2
-/// (runtime failures exit 1) instead of letting anything escape uncaught.
-struct UsageError : std::invalid_argument {
-  using std::invalid_argument::invalid_argument;
-};
-
-/// Validate a dataset argument up front: an unknown name is a usage error
-/// (exit 2, message lists the valid choices). Runtime invalid_argument
-/// throws from corrupt artifacts etc. stay runtime failures (exit 1).
-void require_dataset(const std::string& name) {
-  try {
-    (void)core::find_paper_spec(name);
-  } catch (const std::invalid_argument& e) {
-    throw UsageError(e.what());
-  }
-}
-
-/// Flags parsed but not consumed by the selected subcommand are usage
-/// errors: a silently ignored option (campaign --save-front, run --seeds)
-/// would cost a full training run to discover. --threads/--cache are
-/// accepted everywhere as global performance knobs.
-void reject_unused_flags(const std::string& cmd) {
-  const bool run_like = cmd == "run" || cmd == "resume";
-  const bool campaign = cmd == "campaign";
-  const bool serve = cmd == "serve";
-  const bool rtl = cmd == "export-rtl" || cmd == "verify-rtl";
-  struct Check {
-    const char* flag;
-    bool set;
-    bool consumed;
-  };
-  const Check checks[] = {
-      {"--datasets", !g_datasets.empty(), campaign},
-      {"--seeds", g_seeds_set, campaign},
-      {"--resume", g_resume, campaign},
-      {"--save-front", !g_save_front.empty(), run_like},
-      {"--checkpoint", !g_checkpoint.empty(), run_like || campaign},
-      {"--json", !g_json.empty(), run_like || campaign},
-      {"--port", g_port_set, serve},
-      {"--batch", g_batch_set, serve},
-      {"--worker", g_worker, campaign},
-      {"--worker-id", !g_worker_id.empty(), campaign},
-      {"--lease-timeout", g_lease_timeout_set, campaign},
-      {"--heartbeat", g_heartbeat_set, campaign},
-      {"--max-failures", g_max_failures_set, campaign},
-      {"--ga-checkpoint", g_ga_checkpoint_set, campaign},
-      {"--rtl-vectors", g_rtl_vectors_set, rtl},
-      {"--rtl-random", g_rtl_random_set, rtl},
-      {"--require-sim", g_require_sim, cmd == "verify-rtl"},
-  };
-  for (const auto& c : checks) {
-    if (c.set && !c.consumed) {
-      throw UsageError(std::string(c.flag) + " is not supported by the '" +
-                       cmd + "' subcommand");
-    }
-  }
-}
-
-/// An existing --checkpoint path must be a directory we can extend; a
-/// file in its place would otherwise surface as a raw filesystem error
-/// only after minutes of training.
-void validate_checkpoint_path(const std::string& dir) {
-  if (dir.empty()) return;
-  std::error_code ec;
-  if (std::filesystem::exists(dir, ec) &&
-      !std::filesystem::is_directory(dir, ec)) {
-    throw UsageError("--checkpoint path '" + dir +
-                     "' exists and is not a directory");
-  }
-}
-
-/// Validated --json sink, opened up front so an unwritable path fails
-/// before the expensive run, not after it. Writes go to FILE.tmp and
-/// finish() renames onto FILE, so a failed (or killed) run never clobbers
-/// a previous report; an unfinished sink removes its temp file.
-struct JsonSink {
-  std::string path;
-  std::string tmp;
-  std::ofstream os;
-  bool finished = false;
-  explicit JsonSink(const std::string& p) : path(p), tmp(p + ".tmp"), os(tmp) {
-    if (!os) {
-      throw UsageError("cannot write --json file '" + path + "'");
-    }
-  }
-  ~JsonSink() {
-    if (!finished) {
-      os.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-    }
-  }
-  /// Flush and install the report; throws on a short write.
-  void finish() {
-    os.flush();
-    if (!os) {
-      throw std::runtime_error("short write to " + tmp);
-    }
-    os.close();
-    std::filesystem::rename(tmp, path);
-    finished = true;
-    std::cerr << "wrote " << path << "\n";
-  }
-};
-
-/// nullptr for stdout ("-") or when --json was not given.
-std::unique_ptr<JsonSink> open_json_sink() {
-  if (g_json.empty() || g_json == "-") return nullptr;
-  return std::make_unique<JsonSink>(g_json);
-}
-
-core::FlowConfig default_flow(int pop, int gens) {
-  core::FlowConfig cfg;
-  cfg.backprop.epochs = 150;
-  cfg.trainer.ga.population = pop;
-  cfg.trainer.ga.generations = gens;
-  cfg.trainer.n_threads = g_threads;
-  if (g_cache >= 0) cfg.trainer.problem.eval_cache_capacity = g_cache;
-  return cfg;
-}
-
-int cmd_baseline(const std::string& dataset) {
+int cmd_baseline(const Options& o, const Args& a) {
+  const std::string& dataset = a[0];
   const auto& row = mlp::paper_row(dataset);
   core::FlowEngine engine(core::load_paper_dataset(dataset), row.topology,
-                          default_flow(8, 1));
+                          default_flow(o, 8, 1));
   const auto artifacts = engine.baseline_artifacts();
   std::cout << dataset << " exact bespoke baseline [2]:\n"
             << "  accuracy  " << artifacts.baseline_test_accuracy
@@ -378,35 +357,17 @@ int cmd_baseline(const std::string& dataset) {
   return 0;
 }
 
-/// An existing --save-front path must be a directory we can replace; reject
-/// a file in its place up front, like --checkpoint (the rename at the end
-/// of save_front_dir would otherwise fail after the whole training run).
-void validate_save_front_path(const std::string& dir) {
-  if (dir.empty()) return;
-  std::error_code ec;
-  if (std::filesystem::exists(dir, ec) &&
-      !std::filesystem::is_directory(dir, ec)) {
-    throw UsageError("--save-front path '" + dir +
-                     "' exists and is not a directory");
-  }
-}
-
-int cmd_run(const std::string& dataset, int pop, int gens,
-            const std::string& model_out, bool is_resume) {
+int cmd_run(const Options& o, const Args& a, bool is_resume) {
+  const std::string& dataset = a[0];
+  const auto [pop, gens] = ga_budget(a, 1);
+  const std::string model_out = a.size() > 3 ? a[3] : "";
   const auto& row = mlp::paper_row(dataset);
-  validate_checkpoint_path(g_checkpoint);
-  validate_save_front_path(g_save_front);
-  auto json_sink = open_json_sink();  // fail an unwritable --json up front
-  if (is_resume) {
-    if (g_checkpoint.empty()) {
-      std::cerr << "error: resume requires --checkpoint DIR\n";
-      return 2;
-    }
-    if (!std::filesystem::exists(std::filesystem::path(g_checkpoint) /
-                                 "meta.txt")) {
-      std::cerr << "error: no checkpoint found in " << g_checkpoint << "\n";
-      return 2;
-    }
+  require_dir_or_absent("--checkpoint", o.checkpoint);
+  require_dir_or_absent("--save-front", o.save_front);
+  JsonSink json(o.json);
+  if (is_resume && !std::filesystem::exists(
+                       std::filesystem::path(*o.checkpoint) / "meta.txt")) {
+    throw UsageError("no checkpoint found in " + *o.checkpoint);
   }
   std::cerr << "training " << dataset << " " << row.topology.to_string()
             << " with NSGA-II " << pop << "x" << gens << "...\n";
@@ -416,8 +377,8 @@ int cmd_run(const std::string& dataset, int pop, int gens,
   }
 
   core::FlowEngine engine(core::load_paper_dataset(dataset), row.topology,
-                          default_flow(pop, gens));
-  if (!g_checkpoint.empty()) engine.set_checkpoint_dir(g_checkpoint);
+                          default_flow(o, pop, gens));
+  if (o.checkpoint) engine.set_checkpoint_dir(*o.checkpoint);
   engine.set_progress([](const core::StageReport& r) {
     std::cerr << "  stage " << core::flow_stage_name(r.stage) << ": "
               << r.wall_seconds << " s, " << r.items << " items"
@@ -425,8 +386,8 @@ int cmd_run(const std::string& dataset, int pop, int gens,
   });
   const auto result = engine.run();
 
-  const bool json_stdout = g_json == "-";
-  if (!json_stdout) {
+  const bool text = !json.to_stdout();
+  if (text) {
     std::cout << "baseline: acc " << result.baseline.baseline_test_accuracy
               << ", " << result.baseline.baseline_cost.area_cm2() << " cm2, "
               << result.baseline.baseline_cost.power_mw() << " mW\n";
@@ -466,28 +427,22 @@ int cmd_run(const std::string& dataset, int pop, int gens,
                 << (p.functional_match ? "yes" : "NO") << "\n";
     }
   }
-  if (!g_json.empty()) {
-    if (json_stdout) {
-      core::write_flow_report_json(result, dataset, row.topology, std::cout);
-    } else {
-      core::write_flow_report_json(result, dataset, row.topology,
-                                   json_sink->os);
-      json_sink->finish();
-    }
-  }
-  if (!g_save_front.empty()) {
-    core::save_front_dir(core::front_entries(result.front), g_save_front);
+  json.write([&](std::ostream& os) {
+    core::write_flow_report_json(result, dataset, row.topology, os);
+  });
+  if (o.save_front) {
+    core::save_front_dir(core::front_entries(result.front), *o.save_front);
     std::cerr << "saved " << result.front.size()
-              << " front designs + index to " << g_save_front << "\n";
+              << " front designs + index to " << *o.save_front << "\n";
   }
 
   if (!result.best) {
-    if (!json_stdout) {
+    if (text) {
       std::cout << "no design within 5% loss at this budget; raise gens\n";
     }
     return 1;
   }
-  if (!json_stdout) {
+  if (text) {
     std::cout << "pick (min area within 5% loss): acc "
               << result.best->test_accuracy << ", "
               << result.best->cost.area_cm2() << " cm2 ("
@@ -497,30 +452,27 @@ int cmd_run(const std::string& dataset, int pop, int gens,
   }
   if (!model_out.empty()) {
     core::save_model_file(result.best->model, model_out);
-    if (!json_stdout) std::cout << "saved " << model_out << "\n";
+    if (text) std::cout << "saved " << model_out << "\n";
   }
   return 0;
 }
 
-/// Split a --datasets CSV into validated Table I names ("" = all five).
+/// Split a --datasets CSV into validated Table I names (unset = all five).
 /// Unknown names throw listing the valid choices (exit 2 via UsageError).
-std::vector<std::string> campaign_dataset_names(const std::string& csv) {
+std::vector<std::string> campaign_dataset_names(
+    const std::optional<std::string>& csv) {
   std::vector<std::string> names;
-  if (csv.empty()) {
+  if (!csv) {
     for (const auto& row : mlp::paper_table1()) names.push_back(row.dataset);
     return names;
   }
   std::string token;
-  std::istringstream is(csv);
+  std::istringstream is(*csv);
   while (std::getline(is, token, ',')) {
     if (token.empty()) {
-      throw UsageError("--datasets has an empty entry in '" + csv + "'");
+      throw UsageError("--datasets has an empty entry in '" + *csv + "'");
     }
-    try {
-      (void)core::find_paper_spec(token);
-    } catch (const std::invalid_argument& e) {
-      throw UsageError(e.what());
-    }
+    require_dataset(token);
     if (std::find(names.begin(), names.end(), token) != names.end()) {
       throw UsageError("duplicate dataset '" + token + "' in --datasets");
     }
@@ -528,7 +480,7 @@ std::vector<std::string> campaign_dataset_names(const std::string& csv) {
   }
   if (names.empty()) {
     throw UsageError("--datasets expects a comma-separated list, got '" +
-                     csv + "'");
+                     *csv + "'");
   }
   return names;
 }
@@ -559,7 +511,7 @@ class StopOnSignal {
 /// One flow spec per manifest row; each dataset is generated once and
 /// shared by its seeds.
 std::vector<core::CampaignFlowSpec> manifest_specs(
-    const core::CampaignManifest& manifest) {
+    const Options& o, const core::CampaignManifest& manifest) {
   std::map<std::string, datasets::Dataset> loaded;
   std::vector<core::CampaignFlowSpec> specs;
   for (const auto& row : manifest.flows) {
@@ -573,7 +525,7 @@ std::vector<core::CampaignFlowSpec> manifest_specs(
     spec.dataset = row.dataset;
     spec.data = it->second;
     spec.topology = core::paper_topology(row.dataset);
-    spec.config = default_flow(manifest.population, manifest.generations);
+    spec.config = default_flow(o, manifest.population, manifest.generations);
     spec.config.trainer.ga.seed = row.seed;
     spec.config.trainer.ga.checkpoint_every = manifest.ga_checkpoint;
     specs.push_back(std::move(spec));
@@ -589,57 +541,49 @@ void print_stage(const std::string& who, const core::StageReport& r,
             << (r.reused ? " (reused)" : "") << tail << "\n";
 }
 
-/// The worker-mode flags are meaningless without --worker; catching them
-/// here keeps a typo'd coordinator invocation from silently training with
-/// half the intended setup.
-void require_worker_mode_flags_unused() {
-  if (!g_worker_id.empty() || g_lease_timeout_set || g_heartbeat_set ||
-      g_max_failures_set) {
-    throw UsageError(
-        "--worker-id/--lease-timeout/--heartbeat/--max-failures require "
-        "--worker");
-  }
-}
-
-int cmd_campaign(int pop, int gens) {
-  const auto names = campaign_dataset_names(g_datasets);
-  validate_checkpoint_path(g_checkpoint);
-  require_worker_mode_flags_unused();
-  auto json_sink = open_json_sink();
-  if (g_resume) {
-    if (g_checkpoint.empty()) {
+int cmd_campaign(const Options& o, const Args& a) {
+  const auto [pop, gens] = ga_budget(a, 0);
+  const auto names = campaign_dataset_names(o.datasets);
+  require_dir_or_absent("--checkpoint", o.checkpoint);
+  JsonSink json(o.json);
+  if (o.resume) {
+    if (!o.checkpoint) {
       throw UsageError("--resume requires --checkpoint DIR");
     }
-    if (!std::filesystem::is_directory(g_checkpoint)) {
+    if (!std::filesystem::is_directory(*o.checkpoint)) {
       throw UsageError("--resume: no campaign checkpoint found in '" +
-                       g_checkpoint + "'");
+                       *o.checkpoint + "'");
     }
   }
 
+  const int seeds = o.seeds.value_or(1);
   core::CampaignManifest manifest;
   manifest.population = pop;
   manifest.generations = gens;
-  manifest.ga_checkpoint = g_ga_checkpoint;
+  manifest.ga_checkpoint = o.ga_checkpoint.value_or(0);
   for (const auto& name : names) {
-    for (int seed = 1; seed <= g_seeds; ++seed) {
+    for (int seed = 1; seed <= seeds; ++seed) {
       manifest.flows.push_back({name + "_s" + std::to_string(seed), name,
                                 static_cast<std::uint64_t>(seed)});
     }
   }
   core::CampaignConfig ccfg;
-  ccfg.n_threads = g_threads;
-  ccfg.checkpoint_root = g_checkpoint;
+  ccfg.n_threads = o.threads.value_or(0);
+  ccfg.checkpoint_root = o.checkpoint.value_or("");
   core::CampaignRunner runner(ccfg);
-  for (auto& spec : manifest_specs(manifest)) runner.add_flow(std::move(spec));
-  if (!g_checkpoint.empty()) {
+  for (auto& spec : manifest_specs(o, manifest)) {
+    runner.add_flow(std::move(spec));
+  }
+  if (o.checkpoint) {
     // The manifest makes the tree self-describing: `--worker` processes
     // and `campaign status` reconstruct the grid from it alone.
-    core::save_campaign_manifest(manifest, g_checkpoint);
+    core::save_campaign_manifest(manifest, *o.checkpoint);
   }
   std::cerr << "campaign: " << manifest.flows.size() << " flows ("
-            << names.size() << " datasets x " << g_seeds
+            << names.size() << " datasets x " << seeds
             << " seeds), NSGA-II " << pop << "x" << gens << ", "
-            << core::resolve_n_threads(g_threads) << " scheduler threads\n";
+            << core::resolve_n_threads(ccfg.n_threads)
+            << " scheduler threads\n";
   runner.set_progress([](const core::CampaignProgress& p) {
     print_stage(p.flow_name, p.stage,
                 "  (" + std::to_string(p.flows_done) + "/" +
@@ -648,8 +592,7 @@ int cmd_campaign(int pop, int gens) {
   const StopOnSignal on_signal(runner);
   const auto result = runner.run();
 
-  const bool json_stdout = g_json == "-";
-  if (!json_stdout) {
+  if (!json.to_stdout()) {
     std::cout << "campaign: " << result.completed << "/"
               << result.flows.size() << " flows in " << result.wall_seconds
               << " s wall (" << result.stage_wall_seconds
@@ -679,14 +622,9 @@ int cmd_campaign(int pop, int gens) {
       std::cout << "\n";
     }
   }
-  if (!g_json.empty()) {
-    if (json_stdout) {
-      core::write_campaign_report_json(result, std::cout);
-    } else {
-      core::write_campaign_report_json(result, json_sink->os);
-      json_sink->finish();
-    }
-  }
+  json.write([&](std::ostream& os) {
+    core::write_campaign_report_json(result, os);
+  });
   for (const auto& f : result.flows) {
     if (f.status == core::CampaignFlowStatus::kFailed) {
       std::cerr << "flow " << f.name << " FAILED: " << f.error << "\n";
@@ -697,31 +635,28 @@ int cmd_campaign(int pop, int gens) {
 
 /// `pmlp campaign --worker --checkpoint DIR`: join an existing campaign
 /// tree as one crash-safe distributed drain process. The grid comes from
-/// the tree's manifest; pop/gens positionals are rejected so two workers
-/// can never disagree about the flow configs (the config fingerprint would
-/// catch it, but at the cost of a poisoned flow).
-int cmd_campaign_worker() {
-  if (g_checkpoint.empty()) {
-    throw UsageError("--worker requires --checkpoint DIR");
-  }
-  auto manifest = core::load_campaign_manifest(g_checkpoint);
-  if (g_ga_checkpoint_set) manifest.ga_checkpoint = g_ga_checkpoint;
+/// the tree's manifest, so two workers can never disagree about the flow
+/// configs (the config fingerprint would catch it, but at the cost of a
+/// poisoned flow).
+int cmd_campaign_worker(const Options& o, const Args&) {
+  auto manifest = core::load_campaign_manifest(*o.checkpoint);
+  if (o.ga_checkpoint) manifest.ga_checkpoint = *o.ga_checkpoint;
 
   core::WorkerConfig wcfg;
-  wcfg.checkpoint_root = g_checkpoint;
-  wcfg.worker_id = g_worker_id;
-  wcfg.lease_timeout_s = g_lease_timeout;
-  wcfg.heartbeat_s = g_heartbeat;
-  wcfg.max_failures = g_max_failures;
-  core::CampaignWorker worker(manifest_specs(manifest), wcfg);
+  wcfg.checkpoint_root = *o.checkpoint;
+  wcfg.worker_id = o.worker_id.value_or("");
+  wcfg.lease_timeout_s = o.lease_timeout.value_or(wcfg.lease_timeout_s);
+  wcfg.heartbeat_s = o.heartbeat.value_or(wcfg.heartbeat_s);
+  wcfg.max_failures = o.max_failures.value_or(wcfg.max_failures);
+  core::CampaignWorker worker(manifest_specs(o, manifest), wcfg);
   worker.set_progress(
       [&worker](const std::string& flow, const core::StageReport& r) {
         print_stage(worker.worker_id() + " @ " + flow, r);
       });
   std::cerr << "worker " << worker.worker_id() << ": joining campaign tree "
-            << g_checkpoint << " (" << manifest.flows.size()
-            << " flows, lease timeout " << g_lease_timeout
-            << " s, heartbeat " << g_heartbeat << " s)\n";
+            << *o.checkpoint << " (" << manifest.flows.size()
+            << " flows, lease timeout " << wcfg.lease_timeout_s
+            << " s, heartbeat " << wcfg.heartbeat_s << " s)\n";
   const StopOnSignal on_signal(worker);
   const auto report = worker.run();
 
@@ -737,7 +672,7 @@ int cmd_campaign_worker() {
 
   // Exit reflects the TREE, not just this worker: 0 = fully drained with
   // no failed flows (no matter which worker did the work).
-  const auto status = core::read_campaign_status(g_checkpoint);
+  const auto status = core::read_campaign_status(*o.checkpoint);
   if (status.failed > 0) return 1;
   return status.done == static_cast<int>(status.flows.size()) ? 0 : 1;
 }
@@ -745,22 +680,13 @@ int cmd_campaign_worker() {
 /// `pmlp campaign status --checkpoint DIR`: grid progress from the tree
 /// alone — no worker processes are consulted, so it works mid-campaign,
 /// post-crash, or on a finished tree.
-int cmd_campaign_status() {
-  if (g_checkpoint.empty()) {
-    throw UsageError("campaign status requires --checkpoint DIR");
-  }
-  require_worker_mode_flags_unused();
-  auto json_sink = open_json_sink();
-  const auto status = core::read_campaign_status(g_checkpoint);
-  if (g_json == "-") {
-    core::write_campaign_status_json(status, std::cout);
-  } else {
-    core::write_campaign_status_table(status, std::cout);
-    if (json_sink) {
-      core::write_campaign_status_json(status, json_sink->os);
-      json_sink->finish();
-    }
-  }
+int cmd_campaign_status(const Options& o, const Args&) {
+  JsonSink json(o.json);
+  const auto status = core::read_campaign_status(*o.checkpoint);
+  if (!json.to_stdout()) core::write_campaign_status_table(status, std::cout);
+  json.write([&](std::ostream& os) {
+    core::write_campaign_status_json(status, os);
+  });
   return 0;
 }
 
@@ -772,9 +698,11 @@ datasets::QuantizedDataset test_split(const std::string& dataset,
   return engine.split().test;
 }
 
-int cmd_evaluate(const std::string& model_path, const std::string& dataset) {
+int cmd_evaluate(const Options& o, const Args& a) {
+  const std::string& model_path = a[0];
+  const std::string& dataset = a[1];
   const auto model = core::load_model_file(model_path);
-  const auto test = test_split(dataset, default_flow(8, 1));
+  const auto test = test_split(dataset, default_flow(o, 8, 1));
   const double acc = core::accuracy(model, test);
 
   const auto circuit =
@@ -797,18 +725,17 @@ int cmd_evaluate(const std::string& model_path, const std::string& dataset) {
   return 0;
 }
 
-int cmd_serve(const std::string& dir) {
-  {
-    std::error_code ec;
-    if (!std::filesystem::is_directory(dir, ec)) {
-      throw UsageError("serve: front directory '" + dir +
-                       "' does not exist or is not a directory");
-    }
+int cmd_serve(const Options& o, const Args& a) {
+  const std::string& dir = a[0];
+  std::error_code ec;
+  if (!std::filesystem::is_directory(dir, ec)) {
+    throw UsageError("serve: front directory '" + dir +
+                     "' does not exist or is not a directory");
   }
   core::ServeConfig cfg;
-  cfg.n_threads = g_threads;
-  cfg.max_batch = g_batch;
-  cfg.port = g_port;
+  cfg.n_threads = o.threads.value_or(0);
+  cfg.max_batch = o.batch.value_or(cfg.max_batch);
+  cfg.port = o.port.value_or(cfg.port);
   core::FrontServer server(dir, cfg);  // bad artifacts -> runtime, exit 1
   server.listen();
   // The one machine-parseable stdout line: clients scrape the actual port.
@@ -830,10 +757,10 @@ int cmd_serve(const std::string& dir) {
 
 /// Offline reference for serve answers: classify one quantized feature
 /// vector through the same CompiledNet path the server executes.
-int cmd_classify(const std::string& model_path,
-                 const std::vector<std::string>& code_args) {
-  const auto model = core::load_model_file(model_path);
+int cmd_classify(const Options&, const Args& a) {
+  const auto model = core::load_model_file(a[0]);
   const core::CompiledNet net(model);
+  const Args code_args(a.begin() + 1, a.end());
   if (static_cast<int>(code_args.size()) != net.n_inputs()) {
     throw UsageError("classify: model expects " +
                      std::to_string(net.n_inputs()) +
@@ -887,9 +814,17 @@ std::string dataset_from_entry(const std::string& file) {
 /// or a single .model file. `dataset` selects the recorded stimulus; "-"
 /// derives it per point from a campaign tree's flow names (random-only
 /// stimulus when nothing matches).
-int cmd_rtl(const std::string& input, const std::string& dataset,
-            const std::string& outdir, bool with_sim) {
+int cmd_rtl(const Options& o, const Args& a, bool with_sim) {
+  const std::string& input = a[0];
+  const std::string dataset = a.size() > 1 ? a[1] : "-";
+  const std::string outdir =
+      a.size() > 2 ? a[2]
+                   : std::filesystem::path(input).filename().string() + "_rtl";
   if (dataset != "-") require_dataset(dataset);
+
+  core::RtlExportOptions opts;
+  opts.max_recorded_vectors = o.rtl_vectors.value_or(opts.max_recorded_vectors);
+  opts.random_vectors = o.rtl_random.value_or(opts.random_vectors);
 
   // Recorded-stimulus test splits, resolved lazily per dataset actually
   // referenced (a mixed-dataset campaign tree needs several).
@@ -900,7 +835,7 @@ int cmd_rtl(const std::string& input, const std::string& dataset,
     if (ds.empty()) return codes;
     auto it = splits.find(ds);
     if (it == splits.end()) {
-      it = splits.emplace(ds, test_split(ds, default_flow(8, 1))).first;
+      it = splits.emplace(ds, test_split(ds, default_flow(o, 8, 1))).first;
     }
     const auto& test = it->second;
     const int n_inputs = test.n_features;
@@ -909,9 +844,8 @@ int cmd_rtl(const std::string& input, const std::string& dataset,
                        " features but the model expects " +
                        std::to_string(model.topology().n_inputs()));
     }
-    const std::size_t n_vec =
-        std::min<std::size_t>(test.size(),
-                              static_cast<std::size_t>(g_rtl_vectors));
+    const std::size_t n_vec = std::min<std::size_t>(
+        test.size(), static_cast<std::size_t>(opts.max_recorded_vectors));
     codes.assign(test.codes.begin(),
                  test.codes.begin() +
                      static_cast<std::ptrdiff_t>(
@@ -947,9 +881,6 @@ int cmd_rtl(const std::string& input, const std::string& dataset,
     specs.push_back(std::move(spec));
   }
 
-  core::RtlExportOptions opts;
-  opts.max_recorded_vectors = g_rtl_vectors;
-  opts.random_vectors = g_rtl_random;
   const auto report = with_sim ? core::verify_rtl(specs, outdir, opts)
                                : core::export_rtl(specs, outdir, opts);
 
@@ -970,13 +901,13 @@ int cmd_rtl(const std::string& input, const std::string& dataset,
 
   if (with_sim) {
     if (report.simulator.empty()) {
-      std::cerr << (g_require_sim
+      std::cerr << (o.require_sim
                         ? "error: no Verilog simulator found "
                           "(iverilog/verilator) and --require-sim is set\n"
                         : "no Verilog simulator found (iverilog/verilator); "
                           "simulation skipped\n");
     }
-    if (!report.all_passed(g_require_sim)) {
+    if (!report.all_passed(o.require_sim)) {
       for (const auto& p : report.points) {
         if (p.sim == core::RtlSimOutcome::kFail ||
             p.sim == core::RtlSimOutcome::kError) {
@@ -990,262 +921,210 @@ int cmd_rtl(const std::string& input, const std::string& dataset,
   return 0;
 }
 
+struct Subcommand {
+  /// Words matched against the leading positionals; a "--flag" word
+  /// selects the row by that switch. Rows are tried in order, so a more
+  /// specific row comes before the row it refines.
+  const char* name;
+  /// "<required> [optional] ..."; a trailing "..." takes any number more.
+  /// A "<dataset>" must name a Table I dataset.
+  const char* positionals;
+  /// Accepted flags besides the every-subcommand ones: "[--x]" optional,
+  /// bare "--x" required.
+  const char* flags;
+  int (*handler)(const Options&, const Args&);
+  const char* help;
+};
+
+const Subcommand kSubcommands[] = {
+    {"list", "", "", cmd_list, "datasets and Table I topologies"},
+    {"metrics", "<dataset>", "", cmd_metrics,
+     "class priors, nearest-centroid accuracy, Fisher scores"},
+    {"baseline", "<dataset>", "", cmd_baseline,
+     "exact bespoke baseline cost and accuracy"},
+    {"run", "<dataset> [pop] [gens] [model-out]",
+     "[--checkpoint] [--json] [--save-front]",
+     [](const Options& o, const Args& a) { return cmd_run(o, a, false); },
+     "staged flow, NSGA-II pop x gens (default 80 x 200); prints the Pareto "
+     "front and saves the pick (min area within 5% loss; none = exit 1)"},
+    {"resume", "<dataset> [pop] [gens] [model-out]",
+     "--checkpoint [--json] [--save-front]",
+     [](const Options& o, const Args& a) { return cmd_run(o, a, true); },
+     "run, continuing from the stages already under --checkpoint"},
+    {"campaign status", "", "--checkpoint [--json]", cmd_campaign_status,
+     "grid progress from the tree alone: stages, owner, heartbeat, failures"},
+    {"campaign --worker", "",
+     "--checkpoint [--worker-id] [--lease-timeout] [--heartbeat] "
+     "[--max-failures] [--ga-checkpoint]",
+     cmd_campaign_worker,
+     "drain a campaign tree as one crash-safe worker among any number; the "
+     "grid comes from the tree's manifest"},
+    {"campaign", "[pop] [gens]",
+     "[--checkpoint] [--json] [--datasets] [--seeds] [--resume] "
+     "[--ga-checkpoint]",
+     cmd_campaign,
+     "dataset x seed grid of flows on one --threads pool; resumable and "
+     "bit-identical to independent runs; SIGINT/SIGTERM stop gracefully"},
+    {"serve", "<front-dir>", "[--port] [--batch]", cmd_serve,
+     "classify server over a saved front or campaign tree: line protocol on "
+     "localhost TCP, batched; `reload` re-reads the front, `stop` ends"},
+    {"classify", "<model> <code> ...", "", cmd_classify,
+     "classify one quantized feature vector (the offline serve reference)"},
+    {"evaluate", "<model> <dataset>", "", cmd_evaluate,
+     "re-score a saved model: accuracy, area, power, feasibility zone"},
+    {"export-rtl", "<front|model> [dataset|-] [outdir]",
+     "[--rtl-vectors] [--rtl-random]",
+     [](const Options& o, const Args& a) { return cmd_rtl(o, a, false); },
+     "per point a verified DUT, a self-checking testbench and a manifest.tsv "
+     "row; \"-\" reads datasets off tree paths; outdir is <input>_rtl"},
+    {"verify-rtl", "<front|model> [dataset|-] [outdir]",
+     "[--rtl-vectors] [--rtl-random] [--require-sim]",
+     [](const Options& o, const Args& a) { return cmd_rtl(o, a, true); },
+     "export-rtl, then run every testbench under iverilog or verilator"},
+};
+
+/// Whether `cmd` takes `f`; `*required` says whether it must be given (a
+/// bare word in the row's flags or name).
+bool accepts(const Subcommand& cmd, const Flag& f, bool* required = nullptr) {
+  if (f.every_subcommand) return true;
+  for (const auto& w : words(std::string(cmd.name) + " " + cmd.flags)) {
+    if (w == f.name || w == "[" + std::string(f.name) + "]") {
+      if (required != nullptr) *required = w == f.name;
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The first row whose name words all match; `args` gets the positionals
+/// after those words.
+const Subcommand& select_subcommand(const Options& o, Args& args) {
+  for (const auto& cmd : kSubcommands) {
+    std::size_t used = 0;
+    bool match = true;
+    for (const auto& w : words(cmd.name)) {
+      if (const Flag* f = find_flag(w)) {
+        match = match && is_set(o, *f);
+      } else {
+        match = match && used < o.positionals.size() &&
+                o.positionals[used++] == w;
+      }
+    }
+    if (match) {
+      args.assign(o.positionals.begin() + static_cast<std::ptrdiff_t>(used),
+                  o.positionals.end());
+      return cmd;
+    }
+  }
+  throw UsageError("unknown subcommand '" + o.positionals[0] + "'");
+}
+
+/// `lead` then `ws`, wrapped at 79 columns with continuation lines
+/// indented by `indent`.
+std::string wrap(std::string lead, const std::vector<std::string>& ws,
+                 std::size_t indent) {
+  std::string out, line = std::move(lead);
+  for (const auto& w : ws) {
+    if (line.size() + 1 + w.size() > 79) {
+      out += line + "\n";
+      line = std::string(indent, ' ') + w;
+    } else {
+      line += " " + w;
+    }
+  }
+  return out + line;
+}
+
+std::string flag_spec(const Flag& f) {
+  return *f.metavar ? std::string(f.name) + " " + f.metavar : f.name;
+}
+
+std::string usage_of(const Subcommand& cmd) {
+  auto line = words(std::string(cmd.name) + " " + cmd.positionals);
+  for (const auto& w : words(cmd.flags)) {
+    const bool optional = w[0] == '[';
+    const Flag& f = *find_flag(optional ? w.substr(1, w.size() - 2) : w);
+    line.push_back(optional ? "[" + flag_spec(f) + "]" : flag_spec(f));
+  }
+  return wrap("  pmlp", line, 8) + "\n" + wrap("     ", words(cmd.help), 6);
+}
+
 int usage() {
-  std::cerr << "usage: pmlp [--threads N] [--cache N] [--checkpoint DIR] "
-               "[--json FILE] [--save-front DIR] [--datasets A,B,C] "
-               "[--seeds K] [--resume] [--port N] [--batch N] "
-               "[--worker] [--worker-id ID] [--lease-timeout S] "
-               "[--heartbeat S] [--max-failures N] [--ga-checkpoint K] "
-               "[--rtl-vectors N] [--rtl-random N] [--require-sim] "
-               "<list|metrics|baseline|run|resume|campaign|serve|classify|"
-               "evaluate|export-rtl|verify-rtl> [args...]\n"
-               "(see the header of tools/pmlp_cli.cpp)\n";
+  std::cerr << "usage: pmlp <subcommand> [arguments] [options]\n\n";
+  for (const auto& cmd : kSubcommands) std::cerr << usage_of(cmd) << "\n";
+  std::cerr << "\noptions (anywhere on the line; --threads and --cache for "
+               "every subcommand):\n";
+  for (const auto& f : kFlags) {
+    std::string lead = "  " + flag_spec(f);
+    lead.resize(20, ' ');
+    std::cerr << wrap(lead, words(f.help), 21) << "\n";
+  }
+  std::cerr << "\n"
+            << wrap("environment:",
+                    words("PMLP_UCI_DIR=DIR loads the real UCI files "
+                          "(breast-cancer-wisconsin.data, cardio.csv, "
+                          "pendigits.tra, winequality-{red,white}.csv) "
+                          "instead of the synthetic paper suite, validated "
+                          "against Table I"),
+                    2)
+            << "\n";
   return 2;
 }
 
-/// Positional arity of every subcommand (arguments after its name). Too few
-/// prints the usage; too many is a usage error naming the limit.
-struct Arity {
-  const char* cmd;
-  std::size_t min;
-  std::size_t max;
-};
-constexpr std::size_t kAnyCount = std::numeric_limits<std::size_t>::max();
-constexpr Arity kArity[] = {
-    {"list", 0, 0},       {"metrics", 1, 1},         {"baseline", 1, 1},
-    {"run", 1, 4},        {"resume", 1, 4},          {"campaign", 0, 2},
-    {"campaign status", 0, 0},                       {"serve", 1, 1},
-    {"classify", 2, kAnyCount},                      {"evaluate", 2, 2},
-    {"export-rtl", 1, 3}, {"verify-rtl", 1, 3},
-};
-
-/// Parse a non-negative int option value; returns -1 on error (overflow
-/// included, so huge values can't silently wrap to 0 threads / cache off).
-int parse_nonneg(const char* flag, const char* value) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || v < 0 || errno == ERANGE ||
-      v > std::numeric_limits<int>::max()) {
-    std::cerr << "error: " << flag
-              << " expects a non-negative int, got '" << value << "'\n";
-    return -1;
+/// Flags, positional count and dataset names against the row, before any
+/// work: an ignored flag would cost a full training run to discover. Flag
+/// and count errors carry the row's usage.
+void check_arguments(const Subcommand& cmd, const Options& o,
+                     const Args& args) {
+  const std::string name = cmd.name;
+  const auto fail = [&](const std::string& what) {
+    throw UsageError(what + "\nusage:\n" + usage_of(cmd));
+  };
+  for (const auto& f : kFlags) {
+    bool required = false;
+    if (!accepts(cmd, f, &required)) {
+      if (!is_set(o, f)) continue;
+      std::string by;
+      for (const auto& other : kSubcommands) {
+        if (!accepts(other, f)) continue;
+        by += std::string(by.empty() ? "" : ", ") + other.name;
+      }
+      fail(std::string(f.name) + " is not supported by the '" + name +
+           "' subcommand (only by: " + by + ")");
+    }
+    if (required && !is_set(o, f)) {
+      fail(name + " requires " + f.name + " " + f.metavar);
+    }
   }
-  return static_cast<int>(v);
-}
-
-/// Parse a strictly positive seconds value (--lease-timeout/--heartbeat);
-/// returns -1 on error.
-double parse_pos_seconds(const char* flag, const char* value) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !(v > 0.0) || errno == ERANGE) {
-    std::cerr << "error: " << flag << " expects positive seconds, got '"
-              << value << "'\n";
-    return -1.0;
+  const auto pos = words(cmd.positionals);
+  const auto min = static_cast<std::size_t>(
+      std::count_if(pos.begin(), pos.end(),
+                    [](const std::string& w) { return w[0] == '<'; }));
+  const std::size_t max = pos.empty() || pos.back() != "..." ? pos.size()
+                                                             : args.size();
+  if (args.size() < min) {
+    fail(name + " expects " + cmd.positionals + ", got " +
+         std::to_string(args.size()) + " argument(s)");
   }
-  return v;
-}
-
-/// Parse a strictly positive positional int (pop/gens/seeds); a garbled or
-/// non-positive value is a usage error (previously std::atoi silently
-/// mapped garbage to 0 and fed it into the GA).
-int parse_pos(const char* what, const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || v <= 0 || errno == ERANGE ||
-      v > std::numeric_limits<int>::max()) {
-    throw UsageError(std::string(what) + " expects a positive int, got '" +
-                     value + "'");
+  if (args.size() > max) {
+    fail(name + " takes at most " + std::to_string(max) +
+         " positional argument(s); unexpected '" + args[max] + "'");
   }
-  return static_cast<int>(v);
+  for (std::size_t i = 0; i < args.size() && i < pos.size(); ++i) {
+    if (pos[i] == "<dataset>") require_dataset(args[i]);
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 ||
-        std::strcmp(argv[i], "--cache") == 0 ||
-        std::strcmp(argv[i], "--seeds") == 0 ||
-        std::strcmp(argv[i], "--port") == 0 ||
-        std::strcmp(argv[i], "--batch") == 0 ||
-        std::strcmp(argv[i], "--max-failures") == 0 ||
-        std::strcmp(argv[i], "--ga-checkpoint") == 0 ||
-        std::strcmp(argv[i], "--rtl-vectors") == 0 ||
-        std::strcmp(argv[i], "--rtl-random") == 0) {
-      const char* flag = argv[i];
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << flag << " requires a value\n";
-        return usage();
-      }
-      const int v = parse_nonneg(flag, argv[++i]);
-      if (v < 0) return usage();
-      if (std::strcmp(flag, "--seeds") == 0) {
-        if (v == 0) {
-          std::cerr << "error: --seeds expects a positive int\n";
-          return usage();
-        }
-        g_seeds = v;
-        g_seeds_set = true;
-      } else if (std::strcmp(flag, "--port") == 0) {
-        if (v > 65535) {
-          std::cerr << "error: --port expects a TCP port in 0..65535\n";
-          return usage();
-        }
-        g_port = v;
-        g_port_set = true;
-      } else if (std::strcmp(flag, "--batch") == 0) {
-        if (v == 0) {
-          std::cerr << "error: --batch expects a positive int\n";
-          return usage();
-        }
-        g_batch = v;
-        g_batch_set = true;
-      } else if (std::strcmp(flag, "--max-failures") == 0) {
-        if (v == 0) {
-          std::cerr << "error: --max-failures expects a positive int\n";
-          return usage();
-        }
-        g_max_failures = v;
-        g_max_failures_set = true;
-      } else if (std::strcmp(flag, "--ga-checkpoint") == 0) {
-        g_ga_checkpoint = v;
-        g_ga_checkpoint_set = true;
-      } else if (std::strcmp(flag, "--rtl-vectors") == 0) {
-        g_rtl_vectors = v;
-        g_rtl_vectors_set = true;
-      } else if (std::strcmp(flag, "--rtl-random") == 0) {
-        g_rtl_random = v;
-        g_rtl_random_set = true;
-      } else {
-        (std::strcmp(flag, "--threads") == 0 ? g_threads : g_cache) = v;
-      }
-    } else if (std::strcmp(argv[i], "--lease-timeout") == 0 ||
-               std::strcmp(argv[i], "--heartbeat") == 0) {
-      const char* flag = argv[i];
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << flag << " requires a value\n";
-        return usage();
-      }
-      const double v = parse_pos_seconds(flag, argv[++i]);
-      if (v < 0) return usage();
-      if (std::strcmp(flag, "--lease-timeout") == 0) {
-        g_lease_timeout = v;
-        g_lease_timeout_set = true;
-      } else {
-        g_heartbeat = v;
-        g_heartbeat_set = true;
-      }
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      g_resume = true;
-    } else if (std::strcmp(argv[i], "--worker") == 0) {
-      g_worker = true;
-    } else if (std::strcmp(argv[i], "--require-sim") == 0) {
-      g_require_sim = true;
-    } else if (std::strcmp(argv[i], "--checkpoint") == 0 ||
-               std::strcmp(argv[i], "--json") == 0 ||
-               std::strcmp(argv[i], "--save-front") == 0 ||
-               std::strcmp(argv[i], "--datasets") == 0 ||
-               std::strcmp(argv[i], "--worker-id") == 0) {
-      const char* flag = argv[i];
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << flag << " requires a value\n";
-        return usage();
-      }
-      const std::string value = argv[++i];
-      if (std::strcmp(flag, "--checkpoint") == 0) {
-        g_checkpoint = value;
-      } else if (std::strcmp(flag, "--json") == 0) {
-        g_json = value;
-      } else if (std::strcmp(flag, "--datasets") == 0) {
-        g_datasets = value;
-      } else if (std::strcmp(flag, "--worker-id") == 0) {
-        g_worker_id = value;
-      } else {
-        g_save_front = value;
-      }
-    } else {
-      args.emplace_back(argv[i]);
-    }
-  }
-  if (args.empty()) return usage();
-  const std::string& cmd = args[0];
-  const std::size_t n = args.size();
   try {
-    const bool status = cmd == "campaign" && n >= 2 && args[1] == "status";
-    const std::string sub = status ? "campaign status" : cmd;
-    const std::size_t given = n - (status ? 2 : 1);
-    const Arity* arity = nullptr;
-    for (const auto& a : kArity) {
-      if (sub == a.cmd) arity = &a;
-    }
-    if (arity == nullptr) throw UsageError("unknown subcommand '" + cmd + "'");
-    if (given < arity->min) return usage();
-    if (given > arity->max) {
-      throw UsageError(sub + " takes at most " + std::to_string(arity->max) +
-                       " positional argument(s); unexpected '" +
-                       args[n - given + arity->max] + "'");
-    }
-    reject_unused_flags(cmd);
-    if (cmd == "list") return cmd_list();
-    if (cmd == "metrics") {
-      require_dataset(args[1]);
-      return cmd_metrics(args[1]);
-    }
-    if (cmd == "baseline") {
-      require_dataset(args[1]);
-      return cmd_baseline(args[1]);
-    }
-    if (cmd == "run" || cmd == "resume") {
-      require_dataset(args[1]);
-      const int pop = n >= 3 ? parse_pos("population", args[2]) : 80;
-      const int gens = n >= 4 ? parse_pos("generations", args[3]) : 200;
-      const std::string out = n >= 5 ? args[4] : "";
-      return cmd_run(args[1], pop, gens, out, cmd == "resume");
-    }
-    if (cmd == "campaign") {
-      if (status) {
-        if (g_worker) {
-          throw UsageError("campaign status does not take --worker");
-        }
-        return cmd_campaign_status();
-      }
-      if (g_worker) {
-        if (n >= 2) {
-          throw UsageError(
-              "campaign --worker takes no population/generations (the grid "
-              "comes from the tree's manifest)");
-        }
-        return cmd_campaign_worker();
-      }
-      const int pop = n >= 2 ? parse_pos("population", args[1]) : 80;
-      const int gens = n >= 3 ? parse_pos("generations", args[2]) : 200;
-      return cmd_campaign(pop, gens);
-    }
-    if (cmd == "serve") {
-      return cmd_serve(args[1]);
-    }
-    if (cmd == "classify") {
-      return cmd_classify(args[1],
-                          std::vector<std::string>(args.begin() + 2,
-                                                   args.end()));
-    }
-    if (cmd == "evaluate") {
-      require_dataset(args[2]);
-      return cmd_evaluate(args[1], args[2]);
-    }
-    if (cmd == "export-rtl" || cmd == "verify-rtl") {
-      const std::string dataset = n >= 3 ? args[2] : "-";
-      const std::string outdir =
-          n >= 4 ? args[3]
-                 : std::filesystem::path(args[1]).filename().string() +
-                       "_rtl";
-      return cmd_rtl(args[1], dataset, outdir, cmd == "verify-rtl");
-    }
+    const Options opts = parse_argv(argc, argv);
+    if (opts.positionals.empty()) return usage();
+    Args args;
+    const Subcommand& cmd = select_subcommand(opts, args);
+    check_arguments(cmd, opts, args);
+    return cmd.handler(opts, args);
   } catch (const UsageError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
@@ -1258,5 +1137,4 @@ int main(int argc, char** argv) {
     std::cerr << "error: unknown exception\n";
     return 1;
   }
-  return usage();
 }
