@@ -1,8 +1,9 @@
 // google-benchmark micro suite for the hot kernels of the framework:
 // FA-count area estimation (the GA's inner loop), Eq. 4 inference,
-// chromosome decode, netlist build/simulate, and the sample-blocked
+// chromosome decode, netlist build/simulate, the sample-blocked
 // predict_batch kernels (scalar vs the dispatched SIMD ISA, across batch
-// sizes and layer densities) — so kernel-level wins are measured in their
+// sizes and layer densities) and the GA's whole-training-set accuracy over
+// pre-transposed sample planes — so kernel-level wins are measured in their
 // own tier, apart from flow wall time.
 #include <benchmark/benchmark.h>
 
@@ -145,6 +146,54 @@ void BM_PredictBatch(benchmark::State& state) {
 BENCHMARK(BM_PredictBatch)
     ->ArgsProduct({{0, 1}, {1, 32, 128}, {0, 1}})
     ->ArgNames({"simd", "batch", "sparse"});
+
+/// The GA fitness kernel: whole-training-set accuracy of one chromosome on
+/// a Pendigits-sized 2,449 × 16 set. args: (simd 0/1, sparse 0/1, planes
+/// 0/1). planes=1 is CompiledNet::accuracy over SamplePlanes built once
+/// outside the loop; planes=0 is the same count over predict_batch on the
+/// raw rows, which re-transposes every block per call. items/s is samples
+/// scored/s; the label records the ISA that actually ran.
+void BM_AccuracyPlanes(benchmark::State& state) {
+  const bool use_simd = state.range(0) != 0;
+  const bool sparse = state.range(1) != 0;
+  const bool planes = state.range(2) != 0;
+  constexpr std::size_t kSamples = 2449;
+  const auto model = make_eval_model(sparse ? 11 : 12, sparse);
+  const core::CompiledNet net(model);
+  datasets::QuantizedDataset data;
+  data.n_features = net.n_inputs();
+  data.n_classes = net.n_outputs();
+  data.codes = make_codes(kSamples, net.n_inputs(), 21);
+  std::mt19937_64 rng(22);
+  for (std::size_t s = 0; s < kSamples; ++s) {
+    data.labels.push_back(static_cast<int>(
+        rng() % static_cast<unsigned>(net.n_outputs())));
+  }
+  const core::SamplePlanes sample_planes(data);
+  core::EvalWorkspace ws;
+  const core::SimdIsa prev = core::active_simd_isa();
+  const core::SimdIsa isa = core::set_simd_isa(
+      use_simd ? core::detect_simd_isa() : core::SimdIsa::kScalar);
+  for (auto _ : state) {
+    if (planes) {
+      benchmark::DoNotOptimize(net.accuracy(sample_planes, ws));
+    } else {
+      const auto preds = net.predict_batch(data, ws);
+      std::size_t correct = 0;
+      for (std::size_t s = 0; s < kSamples; ++s) {
+        if (preds[s] == data.labels[s]) ++correct;
+      }
+      benchmark::DoNotOptimize(correct);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSamples));
+  state.SetLabel(core::simd_isa_name(isa));
+  core::set_simd_isa(prev);
+}
+BENCHMARK(BM_AccuracyPlanes)
+    ->ArgsProduct({{0, 1}, {0, 1}, {0, 1}})
+    ->ArgNames({"simd", "sparse", "planes"});
 
 /// Pre-batching reference: the same samples classified one predict() call
 /// at a time (the per-sample scalar path every consumer used before).

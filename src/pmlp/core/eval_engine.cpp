@@ -38,7 +38,37 @@ bool layers_block_safe(const std::vector<CompiledLayer>& layers,
   return true;
 }
 
+/// Transpose `b` row-major samples (`n_in` codes each) into neuron-major
+/// int32 planes: feature `i` of sample `s` lands at `out[i * b + s]`.
+void transpose_block(const std::uint8_t* rows, int n_in, int b,
+                     std::int32_t* out) {
+  for (int i = 0; i < n_in; ++i) {
+    std::int32_t* plane = out + static_cast<std::size_t>(i) * b;
+    for (int s = 0; s < b; ++s) {
+      plane[s] = rows[static_cast<std::size_t>(s) * n_in + i];
+    }
+  }
+}
+
+/// Samples in the block starting at `base` of an `n`-sample set.
+int block_size(std::size_t base, std::size_t n) {
+  return static_cast<int>(
+      std::min<std::size_t>(CompiledNet::kBlockSamples, n - base));
+}
+
 }  // namespace
+
+SamplePlanes::SamplePlanes(const datasets::QuantizedDataset& source)
+    : source_(source),
+      planes_(source.codes.size()),
+      labels_(source.labels.begin(), source.labels.end()) {
+  const int n_in = source.n_features;
+  for (std::size_t base = 0; base < size(); base += CompiledNet::kBlockSamples) {
+    const std::size_t offset = base * static_cast<std::size_t>(n_in);
+    transpose_block(source.codes.data() + offset, n_in,
+                    block_size(base, size()), planes_.data() + offset);
+  }
+}
 
 CompiledNet::CompiledNet(const ApproxMlp& net) {
   n_inputs_ = net.topology().n_inputs();
@@ -121,15 +151,52 @@ int CompiledNet::predict(std::span<const std::uint8_t> x,
   return argmax_first(forward(x, ws));
 }
 
-double CompiledNet::accuracy(const datasets::QuantizedDataset& d,
-                             EvalWorkspace& ws) const {
-  if (d.size() == 0) return 0.0;
-  const auto preds = predict_batch(d, ws);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    if (preds[i] == d.labels[i]) ++correct;
+const std::int32_t* CompiledNet::sweep_block(SimdIsa isa,
+                                             const std::int32_t* in, int n,
+                                             EvalWorkspace& ws) const {
+  // Layer 0 reads `in`; later layers ping-pong between the two block
+  // buffers, so a raw-row block transposed into block_b_ is consumed by
+  // layer 0 before layer 1 overwrites it.
+  const std::int32_t* cur = in;
+  std::int32_t* nxt = ws.block_a_.data();
+  std::int32_t* spare = ws.block_b_.data();
+  for (const auto& layer : layers_) {
+    layer_sweep(isa, layer, cur, nxt, nxt, n, act_max32_);
+    cur = nxt;
+    std::swap(nxt, spare);
   }
-  return static_cast<double>(correct) / static_cast<double>(d.size());
+  return cur;
+}
+
+double CompiledNet::accuracy(const SamplePlanes& data,
+                             EvalWorkspace& ws) const {
+  const datasets::QuantizedDataset& d = data.source();
+  if (d.n_features != n_inputs_) {
+    throw std::invalid_argument(
+        "CompiledNet::accuracy: dataset feature width mismatch");
+  }
+  const std::size_t n = data.size();
+  if (n == 0) return 0.0;
+  std::size_t correct = 0;
+  if (!block_safe_) {
+    for (std::size_t s = 0; s < n; ++s) {
+      if (predict(d.row(s), ws) == d.labels[s]) ++correct;
+    }
+  } else {
+    const SimdIsa isa = active_simd_isa();
+    ws.bind_block(*this);
+    std::int32_t preds[kBlockSamples] = {};
+    const std::int32_t* labels = data.labels();
+    for (std::size_t base = 0; base < n; base += kBlockSamples) {
+      const int b = block_size(base, n);
+      argmax_planes(isa, sweep_block(isa, data.block(base), b, ws),
+                    n_outputs_, b, preds);
+      for (int s = 0; s < b; ++s) {
+        if (preds[s] == labels[base + static_cast<std::size_t>(s)]) ++correct;
+      }
+    }
+  }
+  return static_cast<double>(correct) / static_cast<double>(n);
 }
 
 void CompiledNet::predict_batch(const std::uint8_t* codes, std::size_t n,
@@ -149,36 +216,11 @@ void CompiledNet::predict_batch(const std::uint8_t* codes, std::size_t n,
   const SimdIsa isa = active_simd_isa();
   ws.bind_block(*this);
   for (std::size_t base = 0; base < n; base += kBlockSamples) {
-    const int b = static_cast<int>(
-        std::min<std::size_t>(kBlockSamples, n - base));
-    // Transpose the block's rows into neuron-major input planes.
-    const std::uint8_t* rows =
-        codes + base * static_cast<std::size_t>(n_inputs_);
-    std::int32_t* cur = ws.block_a_.data();
-    std::int32_t* nxt = ws.block_b_.data();
-    for (int i = 0; i < n_inputs_; ++i) {
-      std::int32_t* plane = cur + static_cast<std::size_t>(i) * b;
-      for (int s = 0; s < b; ++s) {
-        plane[s] = rows[static_cast<std::size_t>(s) * n_inputs_ + i];
-      }
-    }
-    for (const auto& layer : layers_) {
-      layer_sweep(isa, layer, cur, nxt, nxt, b, act_max32_);
-      std::swap(cur, nxt);
-    }
-    // argmax_first per sample over the output planes (stride b).
-    for (int s = 0; s < b; ++s) {
-      int best = 0;
-      std::int32_t best_v = cur[s];
-      for (int k = 1; k < n_outputs_; ++k) {
-        const std::int32_t v = cur[static_cast<std::size_t>(k) * b + s];
-        if (v > best_v) {
-          best_v = v;
-          best = k;
-        }
-      }
-      preds[base + static_cast<std::size_t>(s)] = best;
-    }
+    const int b = block_size(base, n);
+    transpose_block(codes + base * static_cast<std::size_t>(n_inputs_),
+                    n_inputs_, b, ws.block_b_.data());
+    argmax_planes(isa, sweep_block(isa, ws.block_b_.data(), b, ws),
+                  n_outputs_, b, preds + base);
   }
 }
 
@@ -202,12 +244,7 @@ bool CompiledNet::forward_block(
   ws.bind_block(*this);
   std::int32_t* cur = ws.block_a_.data();
   std::int32_t* nxt = ws.block_b_.data();
-  for (int i = 0; i < n_inputs_; ++i) {
-    std::int32_t* plane = cur + static_cast<std::size_t>(i) * n;
-    for (int s = 0; s < n; ++s) {
-      plane[s] = codes[static_cast<std::size_t>(s) * n_inputs_ + i];
-    }
-  }
+  transpose_block(codes, n_inputs_, n, cur);
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     layer_sweep(isa, layers_[l], cur, ws.block_acc_.data(), nxt, n,
                 act_max32_);

@@ -3,19 +3,25 @@
 // `HwAwareProblem::evaluate` runs ~26M times per paper-scale experiment, and
 // the naive path re-walks every connection of a freshly decoded `ApproxMlp`
 // per sample, heap-allocating two activation vectors per layer per sample.
-// This module makes a single evaluation cheap in three steps:
+// This module makes a single evaluation cheap in four steps:
 //
 //   compile  — flatten a chromosome-decoded `ApproxMlp` into a `CompiledNet`:
 //              per layer a CSR array of only the *active* connections
 //              (mask & in_mask != 0) with the layer input mask pre-ANDed in,
 //              plus the FA-count area (Eq. 2) computed neuron-by-neuron
 //              during the same walk (no `adder_specs()` vector).
-//   batch    — sweep each layer over sample blocks of up to
-//              `CompiledNet::kBlockSamples` samples held in neuron-major
-//              int32 planes (`EvalWorkspace` flat buffers, zero allocations
-//              after warmup), through explicitly vectorized
-//              mask-and-accumulate kernels picked by runtime CPU dispatch
-//              (AVX2 / NEON / scalar — see simd.hpp, eval_kernels.hpp).
+//   planes   — the training set is transposed ONCE, when the GA problem is
+//              built, into `SamplePlanes`: per block of up to
+//              `CompiledNet::kBlockSamples` samples, neuron-major int32
+//              input planes plus the labels. Every evaluation's first layer
+//              reads those planes in place.
+//   batch    — sweep each layer over the sample blocks, later layers
+//              ping-ponging through `EvalWorkspace` flat buffers (zero
+//              allocations after warmup), through explicitly vectorized
+//              mask-and-accumulate kernels and a first-max argmax kernel
+//              picked by runtime CPU dispatch (AVX2 / NEON / scalar — see
+//              simd.hpp, eval_kernels.hpp). Raw row-major inputs (serve,
+//              hardware analysis, RTL checks) are transposed per block.
 //   memoize  — a genome-keyed bounded-LRU cache (`EvalCache`) short-circuits
 //              re-evaluation of duplicate individuals, which NSGA-II
 //              crossover/mutation produce every generation (an offspring
@@ -42,6 +48,7 @@
 #include <vector>
 
 #include "pmlp/core/approx_mlp.hpp"
+#include "pmlp/core/simd.hpp"
 #include "pmlp/datasets/dataset.hpp"
 #include "pmlp/nsga2/nsga2.hpp"
 
@@ -82,6 +89,7 @@ struct CompiledLayer {
 };
 
 class EvalWorkspace;
+class SamplePlanes;
 
 /// A chromosome compiled for repeated inference; cheap to evaluate, fixed
 /// after construction. Pruned connections are gone, masks are pre-truncated,
@@ -113,9 +121,11 @@ class CompiledNet {
   /// Argmax class (first maximum, like std::max_element).
   [[nodiscard]] int predict(std::span<const std::uint8_t> x,
                             EvalWorkspace& ws) const;
-  /// Fraction of samples classified correctly; allocation-free given a
-  /// bound workspace. Runs over predict_batch.
-  [[nodiscard]] double accuracy(const datasets::QuantizedDataset& d,
+  /// Fraction of samples classified correctly (`correct / n`);
+  /// allocation-free given a bound workspace. The first layer reads the
+  /// pre-transposed planes in place; a net that is not block_safe() runs
+  /// the exact int64 per-sample path over the source rows.
+  [[nodiscard]] double accuracy(const SamplePlanes& data,
                                 EvalWorkspace& ws) const;
 
   /// True when every neuron's static accumulator bound fits int32, i.e. the
@@ -147,6 +157,12 @@ class CompiledNet {
                                const std::int32_t* act)>& sink) const;
 
  private:
+  /// Sweep every layer over one block of `n` samples whose input planes
+  /// are `in` (stride `n`); returns the output-layer planes, which alias
+  /// `ws` block storage. `in` must not alias ws.block_a_.
+  const std::int32_t* sweep_block(SimdIsa isa, const std::int32_t* in, int n,
+                                  EvalWorkspace& ws) const;
+
   int n_inputs_ = 0;
   int n_outputs_ = 0;
   int max_width_ = 0;            ///< widest activation vector in the net
@@ -157,6 +173,35 @@ class CompiledNet {
   std::vector<CompiledLayer> layers_;
 
   friend class EvalWorkspace;
+};
+
+/// A quantized dataset transposed once into the sample-block layout the
+/// batched kernels read: samples [base, base + b) of each block of
+/// b <= CompiledNet::kBlockSamples samples keep feature `i` of sample `s`
+/// at `block(base)[i * b + s]`, plus the labels as int32. Built when a GA
+/// problem is constructed, so no evaluation re-transposes the training
+/// rows; costs n × n_features × 4 B (157 KB for Pendigits). Keeps a
+/// reference to `source`, which must outlive it.
+class SamplePlanes {
+ public:
+  explicit SamplePlanes(const datasets::QuantizedDataset& source);
+
+  [[nodiscard]] const datasets::QuantizedDataset& source() const {
+    return source_;
+  }
+  [[nodiscard]] std::size_t size() const { return labels_.size(); }
+  /// Input planes of the block starting at sample `base` (a multiple of
+  /// kBlockSamples).
+  [[nodiscard]] const std::int32_t* block(std::size_t base) const {
+    return planes_.data() +
+           base * static_cast<std::size_t>(source_.n_features);
+  }
+  [[nodiscard]] const std::int32_t* labels() const { return labels_.data(); }
+
+ private:
+  const datasets::QuantizedDataset& source_;
+  std::vector<std::int32_t> planes_;
+  std::vector<std::int32_t> labels_;
 };
 
 /// Reusable flat activation buffers for CompiledNet inference. One per
@@ -174,9 +219,10 @@ class EvalWorkspace final : public nsga2::Problem::Workspace {
 
   std::vector<std::int64_t> a_;
   std::vector<std::int64_t> b_;
-  // Sample-block state: neuron-major int32 activation planes (ping-pong),
-  // a raw-accumulator plane for forward_block, and the per-dataset
-  // prediction buffer the span-returning predict_batch hands out.
+  // Sample-block state: neuron-major int32 activation planes (ping-pong;
+  // block_b_ also holds a transposed raw-row block), a raw-accumulator
+  // plane for forward_block, and the per-dataset prediction buffer the
+  // span-returning predict_batch hands out.
   std::vector<std::int32_t> block_a_;
   std::vector<std::int32_t> block_b_;
   std::vector<std::int32_t> block_acc_;

@@ -53,7 +53,47 @@ void sweep_scalar(const CompiledLayer& layer, const std::int32_t* in,
   }
 }
 
+/// First-max argmax of samples [s0, s1) — the scalar variant, the oracle
+/// of the vector ones, and their n % lanes tail.
+void argmax_scalar(const std::int32_t* planes, int n_out, int n, int s0,
+                   int s1, std::int32_t* preds) {
+  for (int s = s0; s < s1; ++s) {
+    std::int32_t best = 0;
+    std::int32_t best_v = planes[s];
+    for (int k = 1; k < n_out; ++k) {
+      const std::int32_t v = planes[static_cast<std::size_t>(k) * n + s];
+      if (v > best_v) {
+        best_v = v;
+        best = k;
+      }
+    }
+    preds[s] = best;
+  }
+}
+
 #if defined(PMLP_HAVE_AVX2)
+__attribute__((target("avx2"))) void argmax_avx2(const std::int32_t* planes,
+                                                 int n_out, int n,
+                                                 std::int32_t* preds) {
+  const int vec_end = n & ~7;
+  for (int s = 0; s < vec_end; s += 8) {
+    __m256i best_v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(planes + s));
+    __m256i best = _mm256_setzero_si256();
+    for (int k = 1; k < n_out; ++k) {
+      const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+          planes + static_cast<std::size_t>(k) * n + s));
+      // Strictly greater only: an equal later class keeps the earlier
+      // index, as argmax_first does.
+      const __m256i gt = _mm256_cmpgt_epi32(v, best_v);
+      best_v = _mm256_max_epi32(best_v, v);
+      best = _mm256_blendv_epi8(best, _mm256_set1_epi32(k), gt);
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(preds + s), best);
+  }
+  if (vec_end < n) argmax_scalar(planes, n_out, n, vec_end, n, preds);
+}
+
 __attribute__((target("avx2"))) void sweep_avx2(
     const CompiledLayer& layer, const std::int32_t* in, std::int32_t* acc,
     std::int32_t* act, int n, std::int32_t act_max) {
@@ -274,6 +314,18 @@ void layer_sweep(SimdIsa isa, const CompiledLayer& layer,
       break;
   }
   sweep_scalar(layer, in, acc, act, n, 0, n, act_max);
+}
+
+void argmax_planes(SimdIsa isa, const std::int32_t* planes, int n_out, int n,
+                   std::int32_t* preds) {
+#if defined(PMLP_HAVE_AVX2)
+  if (isa == SimdIsa::kAvx2) {
+    argmax_avx2(planes, n_out, n, preds);
+    return;
+  }
+#endif
+  (void)isa;
+  argmax_scalar(planes, n_out, n, 0, n, preds);
 }
 
 }  // namespace pmlp::core

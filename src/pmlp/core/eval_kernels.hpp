@@ -6,7 +6,11 @@
 // is then a mask-and-accumulate over contiguous lanes — the Eq. 4 inner
 // loop `acc += ±((x & mask) << k)` vectorizes directly on int32 lanes
 // (8-wide AVX2, 4-wide NEON), with QReLU as max/shift/min on the same
-// registers.
+// registers. The block ends in a first-max argmax over the output planes:
+// AVX2 keeps a running maximum and its class index per lane and replaces
+// both where a later class compares strictly greater (`cmpgt` + `blendv`
+// over ascending k), which is exactly argmax_first's tie rule; NEON and
+// the scalar fallback run the per-sample loop.
 //
 // Every variant performs the same int32 additions in the same per-neuron
 // order as the scalar per-sample path, so results are bit-identical across
@@ -31,5 +35,12 @@ struct CompiledLayer;
 void layer_sweep(SimdIsa isa, const CompiledLayer& layer,
                  const std::int32_t* in, std::int32_t* acc, std::int32_t* act,
                  int n, std::int32_t act_max);
+
+/// Class of each of the block's `n` samples from `n_out` >= 1 output planes
+/// (neuron-major, stride `n`): `preds[s]` is the smallest k whose
+/// `planes[k * n + s]` is maximal — the argmax_first rule. `isa` selects
+/// the variant; an ISA without one runs the scalar loop.
+void argmax_planes(SimdIsa isa, const std::int32_t* planes, int n_out, int n,
+                   std::int32_t* preds);
 
 }  // namespace pmlp::core

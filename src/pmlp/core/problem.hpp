@@ -43,7 +43,8 @@ struct ProblemConfig {
 
 class HwAwareProblem final : public nsga2::Problem {
  public:
-  /// `train` must outlive the problem. `baseline` (optional) provides both
+  /// `train` must outlive the problem; it is transposed once into the
+  /// SamplePlanes every evaluation reads. `baseline` (optional) provides both
   /// the doped seeds and the accuracy reference for the loss constraint;
   /// without it the constraint is disabled and seeding is empty.
   HwAwareProblem(ChromosomeCodec codec, const datasets::QuantizedDataset& train,
@@ -79,7 +80,7 @@ class HwAwareProblem final : public nsga2::Problem {
 
  private:
   ChromosomeCodec codec_;
-  const datasets::QuantizedDataset& train_;
+  SamplePlanes train_;
   std::optional<mlp::QuantMlp> baseline_;
   ProblemConfig cfg_;
   double baseline_accuracy_ = 0.0;

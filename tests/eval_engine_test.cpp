@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "pmlp/bitops/bitops.hpp"
 #include "pmlp/core/eval_engine.hpp"
+#include "pmlp/core/eval_kernels.hpp"
 #include "pmlp/core/problem.hpp"
 #include "pmlp/core/simd.hpp"
 #include "pmlp/datasets/synthetic.hpp"
@@ -89,7 +91,8 @@ void expect_compiled_matches_naive(const core::ApproxMlp& net,
     }
     ASSERT_EQ(net.predict(data.row(s)), compiled.predict(data.row(s), ws));
   }
-  EXPECT_DOUBLE_EQ(core::accuracy(net, data), compiled.accuracy(data, ws));
+  EXPECT_DOUBLE_EQ(core::accuracy(net, data),
+                   compiled.accuracy(core::SamplePlanes(data), ws));
 }
 
 }  // namespace
@@ -141,6 +144,8 @@ TEST(CompiledNet, SingleWorkspaceServesManyNets) {
   const core::ChromosomeCodec small_codec(mlp::Topology{{3, 2, 2}}, bits);
   const core::ChromosomeCodec large_codec(mlp::Topology{{8, 6, 3}}, bits);
 
+  const core::SamplePlanes small_planes(small);
+  const core::SamplePlanes large_planes(large);
   core::EvalWorkspace ws;
   std::mt19937_64 rng(9);
   for (int rep = 0; rep < 4; ++rep) {
@@ -149,13 +154,13 @@ TEST(CompiledNet, SingleWorkspaceServesManyNets) {
     const core::CompiledNet b(
         large_codec.decode(random_genes(large_codec, MaskStyle::kDense, rng)));
     // Alternate between shapes through the same (growing) workspace.
-    (void)a.accuracy(small, ws);
-    (void)b.accuracy(large, ws);
+    (void)a.accuracy(small_planes, ws);
+    (void)b.accuracy(large_planes, ws);
     const core::ApproxMlp ref = large_codec.decode(
         large_codec.encode(large_codec.decode(random_genes(
             large_codec, MaskStyle::kSparse, rng))));
     const core::CompiledNet c(ref);
-    EXPECT_DOUBLE_EQ(c.accuracy(large, ws), core::accuracy(ref, large));
+    EXPECT_DOUBLE_EQ(c.accuracy(large_planes, ws), core::accuracy(ref, large));
   }
 }
 
@@ -351,6 +356,7 @@ TEST(PredictBatch, BitIdenticalToPerSamplePredictAcrossStylesAndSizes) {
   const MaskStyle styles[] = {MaskStyle::kDense, MaskStyle::kSparse,
                               MaskStyle::kFullyPruned, MaskStyle::kCoarse};
   const std::size_t sizes[] = {1, 7, 32, 129};
+  const core::SamplePlanes planes(data);
   core::EvalWorkspace ws;
   for (MaskStyle style : styles) {
     for (int rep = 0; rep < 4; ++rep) {
@@ -370,7 +376,8 @@ TEST(PredictBatch, BitIdenticalToPerSamplePredictAcrossStylesAndSizes) {
       }
       const auto all = compiled.predict_batch(data, ws);
       ASSERT_EQ(all.size(), data.size());
-      EXPECT_DOUBLE_EQ(compiled.accuracy(data, ws), core::accuracy(net, data));
+      EXPECT_DOUBLE_EQ(compiled.accuracy(planes, ws),
+                       core::accuracy(net, data));
     }
   }
 }
@@ -430,5 +437,147 @@ TEST(PredictBatch, OverflowUnsafeNetFallsBackToPerSamplePath) {
   for (std::size_t s = 0; s < data.size(); ++s) {
     ASSERT_EQ(preds[s], net.predict(data.row(s)));
   }
-  EXPECT_DOUBLE_EQ(compiled.accuracy(data, ws), core::accuracy(net, data));
+  EXPECT_DOUBLE_EQ(compiled.accuracy(core::SamplePlanes(data), ws),
+                   core::accuracy(net, data));
+}
+
+// ------------------------------------------------------------ sample planes
+
+namespace {
+
+/// Output-layer shapes for the planes tests. A fully pruned output layer
+/// makes every logit its bias; with equal biases every class ties, so the
+/// first-max rule alone decides.
+enum class OutputStyle { kDense, kSparse, kFullyPruned, kPrunedTied };
+
+core::ApproxMlp planes_net(const core::ChromosomeCodec& codec,
+                           OutputStyle style, std::mt19937_64& rng) {
+  const MaskStyle masks =
+      style == OutputStyle::kDense ? MaskStyle::kDense : MaskStyle::kSparse;
+  core::ApproxMlp net = codec.decode(random_genes(codec, masks, rng));
+  if (style == OutputStyle::kFullyPruned || style == OutputStyle::kPrunedTied) {
+    auto& out = net.layers().back();
+    for (auto& c : out.conns) c.mask = 0;
+    if (style == OutputStyle::kPrunedTied) {
+      for (auto& b : out.biases) b = out.biases.front();
+    }
+    net.update_qrelu_shifts();
+  }
+  return net;
+}
+
+}  // namespace
+
+TEST(SamplePlanes, AccuracyMatchesNaiveAndPredictBatchAcrossSizesAndIsas) {
+  const core::BitConfig bits;
+  const std::size_t sizes[] = {1, 63, 64, 65, 2449};
+  const OutputStyle styles[] = {OutputStyle::kDense, OutputStyle::kSparse,
+                                OutputStyle::kFullyPruned,
+                                OutputStyle::kPrunedTied};
+  const core::SimdIsa isas[] = {core::detect_simd_isa(),
+                                core::SimdIsa::kScalar};
+  std::mt19937_64 rng(2449);
+  core::EvalWorkspace ws;
+  for (int n_out : {2, 10}) {
+    const core::ChromosomeCodec codec(mlp::Topology{{16, 5, n_out}}, bits);
+    for (std::size_t n : sizes) {
+      const auto data = random_dataset(16, n_out, n, bits.input_bits,
+                                       static_cast<std::uint64_t>(n) + 1);
+      const core::SamplePlanes planes(data);
+      ASSERT_EQ(planes.size(), n);
+      for (OutputStyle style : styles) {
+        const core::ApproxMlp net = planes_net(codec, style, rng);
+        const core::CompiledNet compiled(net);
+        ASSERT_TRUE(compiled.block_safe());
+        const double naive = core::accuracy(net, data);
+        for (core::SimdIsa isa : isas) {
+          ScopedIsa forced(isa);
+          const auto preds = compiled.predict_batch(data, ws);
+          std::size_t correct = 0;
+          for (std::size_t s = 0; s < n; ++s) {
+            ASSERT_EQ(preds[s], net.predict(data.row(s)))
+                << "n_out " << n_out << " size " << n << " style "
+                << static_cast<int>(style) << " sample " << s;
+            if (preds[s] == data.labels[s]) ++correct;
+          }
+          const double acc = compiled.accuracy(planes, ws);
+          EXPECT_EQ(acc, naive) << "n_out " << n_out << " size " << n
+                                << " style " << static_cast<int>(style)
+                                << " isa " << core::simd_isa_name(isa);
+          EXPECT_EQ(acc, static_cast<double>(correct) /
+                             static_cast<double>(n));
+        }
+      }
+    }
+  }
+}
+
+TEST(SamplePlanes, OverflowUnsafeNetTakesInt64Fallback) {
+  core::BitConfig bits;
+  bits.act_bits = 36;  // QReLU clamp beyond int32: block_safe() fails
+  const core::ChromosomeCodec codec(mlp::Topology{{16, 5, 10}}, bits);
+  const auto data = random_dataset(16, 10, 130, bits.input_bits, 36);
+  const core::SamplePlanes planes(data);
+  std::mt19937_64 rng(36);
+  core::EvalWorkspace ws;
+  for (OutputStyle style : {OutputStyle::kDense, OutputStyle::kPrunedTied}) {
+    const core::ApproxMlp net = planes_net(codec, style, rng);
+    const core::CompiledNet compiled(net);
+    ASSERT_FALSE(compiled.block_safe());
+    for (core::SimdIsa isa : {core::detect_simd_isa(), core::SimdIsa::kScalar}) {
+      ScopedIsa forced(isa);
+      EXPECT_EQ(compiled.accuracy(planes, ws), core::accuracy(net, data));
+    }
+  }
+}
+
+TEST(SamplePlanes, EmptyDatasetScoresZero) {
+  const core::BitConfig bits;
+  const core::ChromosomeCodec codec(mlp::Topology{{4, 3, 2}}, bits);
+  const auto data = random_dataset(4, 2, 0, bits.input_bits, 1);
+  const core::SamplePlanes planes(data);
+  std::mt19937_64 rng(1);
+  core::EvalWorkspace ws;
+  const core::CompiledNet compiled(planes_net(codec, OutputStyle::kDense, rng));
+  EXPECT_EQ(planes.size(), 0u);
+  EXPECT_EQ(compiled.accuracy(planes, ws), 0.0);
+}
+
+TEST(SamplePlanes, FeatureWidthMismatchThrows) {
+  const core::BitConfig bits;
+  const core::ChromosomeCodec codec(mlp::Topology{{4, 3, 2}}, bits);
+  const auto data = random_dataset(5, 2, 10, bits.input_bits, 1);
+  const core::SamplePlanes planes(data);
+  std::mt19937_64 rng(1);
+  core::EvalWorkspace ws;
+  const core::CompiledNet compiled(planes_net(codec, OutputStyle::kDense, rng));
+  EXPECT_THROW((void)compiled.accuracy(planes, ws), std::invalid_argument);
+}
+
+TEST(ArgmaxKernel, MatchesArgmaxFirstOnTiesUnderEveryIsa) {
+  // Values from a 3-symbol alphabet make ties the common case; every block
+  // size 1..kBlockSamples covers full vectors and each tail length.
+  std::mt19937_64 rng(3);
+  std::uniform_int_distribution<int> value(-1, 1);
+  for (int n_out : {1, 2, 3, 10}) {
+    for (int n = 1; n <= core::CompiledNet::kBlockSamples; ++n) {
+      std::vector<std::int32_t> planes(static_cast<std::size_t>(n_out * n));
+      for (auto& v : planes) v = value(rng);
+      for (core::SimdIsa isa :
+           {core::detect_simd_isa(), core::SimdIsa::kScalar}) {
+        std::vector<std::int32_t> preds(static_cast<std::size_t>(n), -1);
+        core::argmax_planes(isa, planes.data(), n_out, n, preds.data());
+        for (int s = 0; s < n; ++s) {
+          std::vector<std::int64_t> logits;
+          for (int k = 0; k < n_out; ++k) {
+            logits.push_back(planes[static_cast<std::size_t>(k * n + s)]);
+          }
+          ASSERT_EQ(preds[static_cast<std::size_t>(s)],
+                    core::argmax_first(logits))
+              << "n_out " << n_out << " n " << n << " sample " << s
+              << " isa " << core::simd_isa_name(isa);
+        }
+      }
+    }
+  }
 }

@@ -1,6 +1,7 @@
 // Tests for the adder-architecture ablation (variants.hpp).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 
 #include "pmlp/adder/variants.hpp"
@@ -58,7 +59,7 @@ TEST(Variants, HaVariantNeverWorseThanFaOnlyInCells) {
     adder::NeuronAdderSpec spec;
     const int n = 3 + static_cast<int>(rng() % 8);
     for (int i = 0; i < n; ++i) {
-      spec.summands.push_back({rng() & 0xFu, 4,
+      spec.summands.push_back({static_cast<std::uint32_t>(rng() & 0xFu), 4,
                                static_cast<int>(rng() % 5),
                                (rng() & 1) ? +1 : -1});
     }
