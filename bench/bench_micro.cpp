@@ -2,9 +2,10 @@
 // FA-count area estimation (the GA's inner loop), Eq. 4 inference,
 // chromosome decode, netlist build/simulate, the sample-blocked
 // predict_batch kernels (scalar vs the dispatched SIMD ISA, across batch
-// sizes and layer densities) and the GA's whole-training-set accuracy over
-// pre-transposed sample planes — so kernel-level wins are measured in their
-// own tier, apart from flow wall time.
+// sizes and layer densities), the GA's whole-training-set accuracy over
+// pre-transposed sample planes and the greedy refine pass over its memo
+// planes — so kernel-level wins are measured in their own tier, apart from
+// flow wall time.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "bench_common.hpp"
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/eval_engine.hpp"
+#include "pmlp/core/refine.hpp"
 #include "pmlp/core/simd.hpp"
 #include "pmlp/mlp/backprop.hpp"
 #include "pmlp/mlp/train_engine.hpp"
@@ -194,6 +196,33 @@ void BM_AccuracyPlanes(benchmark::State& state) {
 BENCHMARK(BM_AccuracyPlanes)
     ->ArgsProduct({{0, 1}, {0, 1}, {0, 1}})
     ->ArgNames({"simd", "sparse", "planes"});
+
+/// refine_greedy on a Pendigits 16-5-10 point over its 2,449 training
+/// samples: the doped seed of the exact baseline (every mask bit set),
+/// refined at the flow's floor (baseline train accuracy - 5%). arg: simd
+/// 0/1; items/s is trials/s; the label records the ISA that actually ran.
+void BM_RefineGreedy(benchmark::State& state) {
+  const bool use_simd = state.range(0) != 0;
+  static const bench::Prepared prepared = bench::prepare("Pendigits");
+  const auto seed = core::ApproxMlp::from_quant_baseline(prepared.baseline,
+                                                         core::BitConfig{});
+  core::RefineConfig cfg;
+  cfg.accuracy_floor = prepared.baseline_train_accuracy - 0.05;
+  const core::SimdIsa prev = core::active_simd_isa();
+  const core::SimdIsa isa = core::set_simd_isa(
+      use_simd ? core::detect_simd_isa() : core::SimdIsa::kScalar);
+  long trials = 0;
+  for (auto _ : state) {
+    auto net = seed;
+    trials += core::refine_greedy(net, prepared.train, cfg).trials;
+    benchmark::DoNotOptimize(net.layers().data());
+  }
+  state.SetItemsProcessed(trials);
+  state.SetLabel(core::simd_isa_name(isa));
+  core::set_simd_isa(prev);
+}
+BENCHMARK(BM_RefineGreedy)->Arg(0)->Arg(1)->ArgName("simd")->Unit(
+    benchmark::kMillisecond);
 
 /// Pre-batching reference: the same samples classified one predict() call
 /// at a time (the per-sample scalar path every consumer used before).

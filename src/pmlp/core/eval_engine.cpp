@@ -235,25 +235,6 @@ std::span<const std::int32_t> CompiledNet::predict_batch(
   return {ws.preds_.data(), d.size()};
 }
 
-bool CompiledNet::forward_block(
-    const std::uint8_t* codes, int n, EvalWorkspace& ws,
-    const std::function<void(int layer, const std::int32_t* acc,
-                             const std::int32_t* act)>& sink) const {
-  if (!block_safe_ || n <= 0 || n > kBlockSamples) return false;
-  const SimdIsa isa = active_simd_isa();
-  ws.bind_block(*this);
-  std::int32_t* cur = ws.block_a_.data();
-  std::int32_t* nxt = ws.block_b_.data();
-  transpose_block(codes, n_inputs_, n, cur);
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    layer_sweep(isa, layers_[l], cur, ws.block_acc_.data(), nxt, n,
-                act_max32_);
-    sink(static_cast<int>(l), ws.block_acc_.data(), nxt);
-    std::swap(cur, nxt);
-  }
-  return true;
-}
-
 void EvalWorkspace::bind(const CompiledNet& net) {
   const auto width = static_cast<std::size_t>(net.max_width_);
   if (a_.size() < width) {
@@ -268,7 +249,6 @@ void EvalWorkspace::bind_block(const CompiledNet& net) {
   if (block_a_.size() < need) {
     block_a_.resize(need);
     block_b_.resize(need);
-    block_acc_.resize(need);
   }
 }
 

@@ -40,7 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <mutex>
 #include <span>
@@ -55,9 +54,9 @@
 namespace pmlp::core {
 
 /// First-maximum argmax over integer logits — the tie-breaking rule of
-/// ApproxMlp::predict (std::max_element). Shared by CompiledNet::predict and
-/// the refine engine's memoized scan so every inference path classifies
-/// identically.
+/// ApproxMlp::predict (std::max_element), which every block argmax (the
+/// eval kernels, the refine pass) reproduces, so every inference path
+/// classifies identically.
 [[nodiscard]] inline int argmax_first(std::span<const std::int64_t> logits) {
   int best = 0;
   for (int k = 1; k < static_cast<int>(logits.size()); ++k) {
@@ -145,17 +144,6 @@ class CompiledNet {
   [[nodiscard]] std::span<const std::int32_t> predict_batch(
       const datasets::QuantizedDataset& d, EvalWorkspace& ws) const;
 
-  /// Batched forward over ONE block of `n` <= kBlockSamples samples
-  /// (row-major at `codes`), exposing each layer's raw accumulator and
-  /// activation planes (neuron-major, stride `n`) to `sink` in layer order
-  /// — the refine engine's memo-rebuild hook. The planes alias workspace
-  /// storage and are only valid during the callback. Returns false without
-  /// calling `sink` when the net is not block_safe().
-  bool forward_block(
-      const std::uint8_t* codes, int n, EvalWorkspace& ws,
-      const std::function<void(int layer, const std::int32_t* acc,
-                               const std::int32_t* act)>& sink) const;
-
  private:
   /// Sweep every layer over one block of `n` samples whose input planes
   /// are `in` (stride `n`); returns the output-layer planes, which alias
@@ -220,12 +208,10 @@ class EvalWorkspace final : public nsga2::Problem::Workspace {
   std::vector<std::int64_t> a_;
   std::vector<std::int64_t> b_;
   // Sample-block state: neuron-major int32 activation planes (ping-pong;
-  // block_b_ also holds a transposed raw-row block), a raw-accumulator
-  // plane for forward_block, and the per-dataset prediction buffer the
-  // span-returning predict_batch hands out.
+  // block_b_ also holds a transposed raw-row block), and the per-dataset
+  // prediction buffer the span-returning predict_batch hands out.
   std::vector<std::int32_t> block_a_;
   std::vector<std::int32_t> block_b_;
-  std::vector<std::int32_t> block_acc_;
   std::vector<std::int32_t> preds_;
 };
 

@@ -17,38 +17,42 @@
 namespace pmlp::core {
 namespace {
 
-/// Scalar sweep of samples [s0, s1) of the block — the whole block under
-/// scalar dispatch, and the n % lanes tail of the SIMD variants. Per sample
-/// this is the int32 image of CompiledNet::forward's int64 loop: same
-/// connections, same order, same adds.
+/// Portable sweep of samples [s0, s1) of the block — the whole block under
+/// scalar dispatch, and the n % lanes tail of the SIMD variants. Samples run
+/// innermost over one connection at a time, so the compiler vectorizes each
+/// pass over the contiguous input plane; every sample still adds the bias
+/// and then its terms in CompiledNet::forward's connection order, the int32
+/// image of the int64 loop.
 void sweep_scalar(const CompiledLayer& layer, const std::int32_t* in,
                   std::int32_t* acc, std::int32_t* act, int n, int s0, int s1,
                   std::int32_t act_max) {
   const CompiledConn* conns = layer.conns.data();
   const std::int32_t* begin = layer.conn_begin.data();
+  const int len = s1 - s0;
+  std::int32_t a[CompiledNet::kBlockSamples];
   for (int o = 0; o < layer.n_out; ++o) {
     const auto bias =
         static_cast<std::int32_t>(layer.biases[static_cast<std::size_t>(o)]);
-    std::int32_t* accp = acc + static_cast<std::size_t>(o) * n;
-    std::int32_t* actp = act + static_cast<std::size_t>(o) * n;
-    const std::int32_t cb = begin[o];
-    const std::int32_t ce = begin[o + 1];
-    for (int s = s0; s < s1; ++s) {
-      std::int32_t a = bias;
-      for (std::int32_t c = cb; c < ce; ++c) {
-        const CompiledConn& cc = conns[c];
-        const std::int32_t term = static_cast<std::int32_t>(
-            (static_cast<std::uint32_t>(
-                 in[static_cast<std::size_t>(cc.in) * n + s]) &
-             cc.mask)
-            << cc.shift);
-        a += cc.neg ? -term : term;
+    for (int s = 0; s < len; ++s) a[s] = bias;
+    for (std::int32_t c = begin[o]; c < begin[o + 1]; ++c) {
+      const CompiledConn& cc = conns[c];
+      const std::int32_t* x = in + static_cast<std::size_t>(cc.in) * n + s0;
+      const auto mask = static_cast<std::int32_t>(cc.mask);
+      if (cc.neg) {
+        for (int s = 0; s < len; ++s) a[s] -= (x[s] & mask) << cc.shift;
+      } else {
+        for (int s = 0; s < len; ++s) a[s] += (x[s] & mask) << cc.shift;
       }
-      accp[s] = a;
-      if (layer.qrelu) {
-        a = a <= 0 ? 0 : std::min(a >> layer.qrelu_shift, act_max);
+    }
+    std::int32_t* accp = acc + static_cast<std::size_t>(o) * n + s0;
+    std::int32_t* actp = act + static_cast<std::size_t>(o) * n + s0;
+    for (int s = 0; s < len; ++s) accp[s] = a[s];
+    if (layer.qrelu) {
+      for (int s = 0; s < len; ++s) {
+        actp[s] = std::min(std::max(a[s], 0) >> layer.qrelu_shift, act_max);
       }
-      actp[s] = a;
+    } else {
+      for (int s = 0; s < len; ++s) actp[s] = a[s];
     }
   }
 }

@@ -5,13 +5,13 @@
 // Pareto point before synthesis; bench_ablation quantifies the benefit.
 //
 // refine_greedy runs on the incremental RefineEngine (refine_engine.hpp):
-// memoized per-sample forward state, delta updates from the mutated layer
-// only, and an early-aborted accuracy scan. refine_greedy_naive is the
-// original full-re-evaluation loop, kept as the bit-identical reference
-// oracle (refine_engine_test compares the two). refine_front fans the
-// per-Pareto-point refinement out over a ThreadPool; one engine per point,
-// per-index output slots, bit-identical to the serial loop for any thread
-// count.
+// memoized forward planes, a read-only what-if pass from the mutated layer
+// down, and an early-aborted accuracy scan. The original
+// full-re-evaluation loop lives on as the bit-identical reference oracle in
+// refine_engine_test, sharing refine_bias_candidate with refine_greedy.
+// refine_front fans the per-Pareto-point refinement out over a ThreadPool;
+// one engine per point, per-index output slots, bit-identical to the serial
+// loop for any thread count.
 #pragma once
 
 #include "pmlp/core/approx_mlp.hpp"
@@ -39,24 +39,24 @@ struct RefineReport {
   int passes = 0;
   /// Candidate edits evaluated (identical between engine and naive paths).
   long trials = 0;
-  /// Trials the engine rejected before a full dataset scan (0 on the naive
-  /// path — it always scans everything). Diagnostic only; decisions are
-  /// unaffected.
+  /// Trials the engine rejected, each at the first sample block that
+  /// exhausted its misclassification budget (0 on the naive path — it
+  /// always scans everything). Diagnostic only; decisions are unaffected.
   long early_aborts = 0;
 };
 
 /// Refine `net` in place against `train`; returns what changed. Runs on the
-/// incremental RefineEngine; bit-identical to refine_greedy_naive.
+/// incremental RefineEngine; bit-identical to the full-re-evaluation loop.
 RefineReport refine_greedy(ApproxMlp& net,
                            const datasets::QuantizedDataset& train,
                            const RefineConfig& cfg);
 
-/// The original one-full-accuracy()-per-trial implementation, kept as the
-/// reference oracle for the engine (and for perf comparisons). Identical
-/// decisions, reports (minus early_aborts) and final parameters.
-RefineReport refine_greedy_naive(ApproxMlp& net,
-                                 const datasets::QuantizedDataset& train,
-                                 const RefineConfig& cfg);
+/// The bias the greedy loop tries for neuron `o` of layer `l`: the current
+/// bias rounded to at most two set bits (magnitude-wise, e.g. 0b0110111 ->
+/// 0b0111000), or the current bias itself when the rounding leaves the
+/// BitConfig range.
+[[nodiscard]] std::int64_t refine_bias_candidate(const ApproxMlp& net, int l,
+                                                 int o);
 
 /// Aggregate accounting of one refine_front call (summed point reports) —
 /// surfaced as the flow's refine-stage counters and by run_bench.sh as the

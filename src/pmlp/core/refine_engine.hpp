@@ -3,45 +3,58 @@
 // refine_greedy tries thousands of single-parameter edits (clear one mask
 // bit, round one bias) and keeps each edit only if training accuracy stays
 // above a floor. The naive loop re-runs a full forward pass of the whole
-// network over the whole dataset per trial — O(trials x samples x network) —
-// even though clearing one bit in layer L leaves every activation below L
-// untouched. This engine makes a trial cost proportional to what the edit
-// actually changes:
+// network over the whole dataset per trial, even though clearing one bit in
+// layer L leaves every activation below L untouched, and most trials (~86%
+// on a Pendigits front) are rejected. This engine scores a trial as a
+// read-only what-if pass and writes state only for the trials it keeps:
 //
-//   memoize — per-sample, per-layer accumulators AND activations of the
-//             current (committed) network live in flat buffers, so nothing
-//             below the mutated layer is ever recomputed.
-//   delta   — a mask-bit clear subtracts sign * ((x & bit) << k) from one
-//             stored accumulator; a bias edit adds (new - old). Samples
-//             whose affected activation does not change stop right there.
-//             When a change does propagate, each downstream layer is
-//             delta-updated from the set of changed inputs only, and the
-//             wavefront dies as soon as a layer's activations are unchanged.
-//   abort   — the accuracy floor is known before the scan, so the scan
-//             aborts as soon as the running misclassification count makes
-//             the floor unreachable even if every remaining sample were
-//             correct.
+//   planes  — the committed network's accumulators and activations live as
+//             neuron-major planes: one plane holds one neuron's values for
+//             every training sample, contiguous (the input codes and the
+//             labels are planes too). Nothing below the edited layer is
+//             ever recomputed.
+//   what-if — a trial walks the samples in blocks of
+//             CompiledNet::kBlockSamples. Per block it computes into block
+//             scratch the edited neuron's new accumulator (a mask-bit clear
+//             subtracts sign * ((x & bit) << k), a bias edit adds
+//             new - old) and activation — the whole layer's activations when
+//             the QReLU shift changes — then each later layer's
+//             accumulators as the stored ones plus term(new) - term(old)
+//             over the inputs whose activations changed somewhere in the
+//             block, then a first-index argmax and the block's correct
+//             count. A block whose change dies out before the output layer
+//             keeps its stored count.
+//   abort   — the accuracy floor is translated before the scan into an
+//             exact misclassification budget, checked after every block; a
+//             rejected trial wrote nothing, so there is nothing to undo.
+//   commit  — an accepted trial re-runs the same pass with writes on: the
+//             changed planes and the block counts are stored.
 //
-// All arithmetic is the same int64 adds/shifts as ApproxMlp::forward, merely
-// reordered into deltas (exact: no overflow at these ranges), and the accept
-// test is the naive code's double comparison translated into an integer
-// correct-count threshold via binary search over the same predicate — so
-// decisions, reports and final masks are bit-identical to the naive loop
-// (refine_greedy_naive stays as the oracle; see refine_engine_test).
+// Lanes are int32 when a static bound proves it exact — CompiledNet's
+// per-neuron |bias| + sum(mask << k), but over the whole BitConfig bias
+// range because bias candidates can round up; mask clears only shrink it,
+// so it holds for the engine's lifetime — and int64 otherwise (a bias
+// candidate beyond that range widens the planes once). The pass is one
+// portable loop nest over contiguous samples, templated on the lane type
+// and compiled both plain and as an AVX2 clone, picked per trial by
+// active_simd_isa() (so PMLP_SIMD=off and set_simd_isa apply).
 //
-// QReLU-shift handling mirrors update_qrelu_shifts() exactly: an edit in
-// layer L can only change layer L's shift (shifts are pure functions of a
-// layer's own parameters), and a shift change re-activates the whole layer
-// from the stored accumulators — no connection walk. Rejected trials undo
-// through a write log, so a reverted trial costs what it touched.
+// All arithmetic is the same integer adds/shifts as ApproxMlp::forward,
+// merely reordered into deltas (exact: every partial sum is the accumulator
+// of some in-range input), and the accept test is the naive code's double
+// comparison translated into an integer correct-count threshold via binary
+// search over the same predicate — so decisions, reports and final masks
+// are bit-identical to the naive loop (refine_engine_test keeps that loop
+// as the oracle). QReLU shifts mirror update_qrelu_shifts() exactly: an edit
+// in layer L can only change layer L's shift (shifts are pure functions of a
+// layer's own parameters).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <vector>
 
 #include "pmlp/core/approx_mlp.hpp"
-#include "pmlp/core/eval_engine.hpp"
 #include "pmlp/datasets/dataset.hpp"
 
 namespace pmlp::core {
@@ -49,14 +62,21 @@ namespace pmlp::core {
 /// Work counters of one RefineEngine (one refine_greedy call).
 struct RefineEngineStats {
   long trials = 0;        ///< candidate edits evaluated
-  long early_aborts = 0;  ///< trials rejected before a full dataset scan
+  /// Trials rejected; each stops at the first sample block that exhausts
+  /// the misclassification budget, so this counts every rejected trial.
+  long early_aborts = 0;
 };
+
+/// Lane-typed memo planes and the what-if pass, and the edit it scores
+/// (refine_engine.cpp).
+class RefineMemo;
+struct RefineEdit;
 
 /// Incremental trial evaluator bound to one net and one training set. The
 /// net is edited in place: a kept trial leaves the edit (and the memoized
-/// state) committed, a rejected trial is rolled back completely. Layer
-/// QReLU shifts are kept in sync with the current parameters at all times
-/// (the invariant the naive loop re-establishes by calling
+/// state) committed, a rejected trial leaves net and memo as they were.
+/// Layer QReLU shifts are kept in sync with the current parameters at all
+/// times (the invariant the naive loop re-establishes by calling
 /// update_qrelu_shifts() before every accuracy()).
 class RefineEngine {
  public:
@@ -65,6 +85,7 @@ class RefineEngine {
   /// the engine then syncs every shift to the current parameters, as the
   /// naive loop's first edit would.
   RefineEngine(ApproxMlp& net, const datasets::QuantizedDataset& train);
+  ~RefineEngine();
 
   RefineEngine(const RefineEngine&) = delete;
   RefineEngine& operator=(const RefineEngine&) = delete;
@@ -77,8 +98,7 @@ class RefineEngine {
   /// Try clearing bit `bit` of conn(o, i) in layer `l` (the bit must be set
   /// and within the layer's input width). Keeps the edit and returns the new
   /// accuracy when it passes the naive accept test `acc + 1e-12 >= min_acc`;
-  /// reverts the edit (net, shift and memo state) and returns nullopt
-  /// otherwise.
+  /// reverts the edit (mask and shift) and returns nullopt otherwise.
   std::optional<double> try_clear_mask_bit(int l, int o, int i, int bit,
                                            double min_acc);
   /// Same protocol for replacing neuron (l, o)'s bias with `candidate`
@@ -89,73 +109,14 @@ class RefineEngine {
   [[nodiscard]] const RefineEngineStats& stats() const { return stats_; }
 
  private:
-  /// One memoized (acc, act) value overwritten during a trial.
-  struct SlotUndo {
-    std::int64_t* slot;
-    std::int64_t old_value;
-  };
-  /// One sample whose prediction/correctness changed during a trial.
-  struct PredUndo {
-    std::uint32_t sample;
-    std::int32_t pred;
-    std::uint8_t correct;
-  };
-
-  void rebuild();
-  /// Smallest correct-count passing `acc + 1e-12 >= min_acc`; n_samples + 1
-  /// when even a perfect scan cannot pass.
-  [[nodiscard]] long min_correct_for(double min_acc) const;
-  [[nodiscard]] std::int64_t activate(const ApproxLayer& layer, int shift,
-                                      std::int64_t acc) const;
-  [[nodiscard]] std::int64_t* acc_ptr(int l, std::size_t s) {
-    return acc_[static_cast<std::size_t>(l)].data() +
-           s * static_cast<std::size_t>(width_[static_cast<std::size_t>(l)]);
-  }
-  [[nodiscard]] std::int64_t* act_ptr(int l, std::size_t s) {
-    return act_[static_cast<std::size_t>(l)].data() +
-           s * static_cast<std::size_t>(width_[static_cast<std::size_t>(l)]);
-  }
-  /// Layer `l` input activations for sample `s` (dataset codes for layer 0).
-  [[nodiscard]] const std::int64_t* in_ptr(int l, std::size_t s) {
-    return l == 0 ? in0_.data() + s * static_cast<std::size_t>(n_features_)
-                  : act_ptr(l - 1, s);
-  }
-
-  /// Shared trial scan. The parameter edit (and the layer-L shift) must
-  /// already be applied; `acc_delta(s)` is the resulting accumulator delta
-  /// of neuron (l, o) for sample s. Commits and returns the accuracy on
-  /// pass; restores the memoized state (NOT the parameter edit — the caller
-  /// owns that) and returns nullopt on fail.
-  template <typename DeltaFn>
-  std::optional<double> trial(int l, int o, bool shift_changed,
-                              DeltaFn&& acc_delta, double min_acc);
-  void undo_writes();
+  /// Score the edit already applied to `net_`, committing it to the memo
+  /// when it passes; the caller reverts the net on nullopt.
+  std::optional<double> trial(const RefineEdit& edit, double min_acc);
 
   ApproxMlp& net_;
   const datasets::QuantizedDataset& train_;
-  std::size_t n_samples_ = 0;
-  int n_features_ = 0;
-  int n_layers_ = 0;
-  std::int64_t act_max_ = 0;  ///< QReLU clamp, (1 << act_bits) - 1
   double accuracy_before_ = 0.0;
-
-  std::vector<std::int64_t> in0_;              ///< widened input codes, S x F
-  std::vector<int> width_;                     ///< n_out per layer
-  std::vector<std::vector<std::int64_t>> acc_; ///< per layer: S x n_out
-  std::vector<std::vector<std::int64_t>> act_; ///< per layer: S x n_out
-  std::vector<int> shift_;                     ///< mirror of qrelu_shift
-  std::vector<std::int32_t> pred_;             ///< per sample
-  std::vector<std::uint8_t> correct_;          ///< per sample
-  long n_correct_ = 0;
-
-  // Trial scratch (reused; sized by the widest layer).
-  std::vector<std::int32_t> changed_idx_, next_changed_idx_;
-  std::vector<std::int64_t> changed_old_, next_changed_old_;
-  std::vector<SlotUndo> undo_slots_;
-  std::vector<PredUndo> undo_pred_;
-
-  EvalWorkspace block_ws_;  ///< sample-block planes for the batched rebuild
-
+  std::unique_ptr<RefineMemo> memo_;
   RefineEngineStats stats_;
 };
 
