@@ -3,9 +3,10 @@
 // chromosome decode, netlist build/simulate, the sample-blocked
 // predict_batch kernels (scalar vs the dispatched SIMD ISA, across batch
 // sizes and layer densities), the GA's whole-training-set accuracy over
-// pre-transposed sample planes and the greedy refine pass over its memo
-// planes — so kernel-level wins are measured in their own tier, apart from
-// flow wall time.
+// pre-transposed sample planes, the greedy refine pass over its memo
+// planes, and the GA's serial per-generation work (non-dominated ranking and
+// a whole generation over a zero-cost problem) — so kernel-level wins are
+// measured in their own tier, apart from flow wall time.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "pmlp/mlp/backprop.hpp"
 #include "pmlp/mlp/train_engine.hpp"
 #include "pmlp/netlist/builders.hpp"
+#include "pmlp/nsga2/nsga2.hpp"
 
 #ifdef PMLP_HAVE_GPERFTOOLS
 #include <gperftools/profiler.h>
@@ -327,6 +329,64 @@ void BM_TrainStepNaive(benchmark::State& state) {
                           static_cast<std::int64_t>(kTrainSamples));
 }
 BENCHMARK(BM_TrainStepNaive)->Arg(0)->Arg(1)->ArgName("wide");
+
+/// Ranking of a merged parent + offspring set of N: objectives on a coarse
+/// grid (ties and duplicate points, as evolved fronts have) and ~20%
+/// infeasible individuals over a few distinct violations.
+void BM_NonDominatedSort(benchmark::State& state) {
+  std::mt19937_64 rng(11);
+  std::vector<nsga2::Individual> pop(static_cast<std::size_t>(state.range(0)));
+  for (auto& ind : pop) {
+    ind.objectives = {static_cast<double>(rng() % 64) / 64.0,
+                      static_cast<double>(rng() % 256)};
+    ind.constraint_violation =
+        rng() % 5 == 0 ? static_cast<double>(1 + rng() % 4) / 100.0 : 0.0;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nsga2::fast_non_dominated_sort(pop));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_NonDominatedSort)->Arg(240)->Arg(800)->ArgName("n");
+
+/// A two-objective problem whose evaluation costs next to nothing, with the
+/// Pendigits 16-5-10 gene layout (405 genes): what remains is the GA's own
+/// serial work per generation (variation, ranking, crowding, selection).
+class ZeroCostProblem final : public nsga2::Problem {
+ public:
+  ZeroCostProblem() : codec_(mlp::Topology{{16, 5, 10}}, core::BitConfig{}) {}
+  [[nodiscard]] int n_genes() const override { return codec_.n_genes(); }
+  [[nodiscard]] nsga2::GeneBounds bounds(int gene) const override {
+    return codec_.bounds(gene);
+  }
+  [[nodiscard]] Evaluation evaluate(std::span<const int> genes) const override {
+    double a = 0, b = 0;
+    for (std::size_t g = 0; g < genes.size(); g += 27) {
+      a += genes[g];
+      b += genes[g + 1];
+    }
+    return {{a, -b}, a < 8 ? 8 - a : 0.0};
+  }
+
+ private:
+  core::ChromosomeCodec codec_;
+};
+
+/// Twenty NSGA-II generations (plus the initial population) on one thread
+/// over the zero-cost problem at population `pop`; items/s is generations/s.
+void BM_NsgaGeneration(benchmark::State& state) {
+  const ZeroCostProblem problem;
+  nsga2::Config cfg;
+  cfg.population = static_cast<int>(state.range(0));
+  cfg.generations = 20;
+  cfg.n_threads = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nsga2::optimize(problem, cfg));
+  }
+  state.SetItemsProcessed(state.iterations() * cfg.generations);
+}
+BENCHMARK(BM_NsgaGeneration)->Arg(120)->Arg(400)->ArgName("pop")->Unit(
+    benchmark::kMillisecond);
 
 void BM_AdderReduction(benchmark::State& state) {
   std::vector<int> heights(static_cast<std::size_t>(state.range(0)), 12);

@@ -1,6 +1,7 @@
 #include "pmlp/core/chromosome.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "pmlp/bitops/bitops.hpp"
@@ -14,8 +15,10 @@ ChromosomeCodec::ChromosomeCodec(const mlp::Topology& topology,
   // [mask, sign, exponent]; then the neuron's bias.
   const ApproxMlp shape(topology, bits);
   for (const auto& layer : shape.layers()) {
-    const int mask_hi =
-        static_cast<int>(bitops::low_mask(layer.input_bits));
+    // A mask gene is a non-negative int, so inputs of 32 bits or more (e.g.
+    // act_bits = 36) get the widest mask an int holds, the low 31 bits.
+    const int mask_hi = static_cast<int>(std::min<std::uint64_t>(
+        bitops::low_mask(layer.input_bits), std::numeric_limits<int>::max()));
     for (int o = 0; o < layer.n_out; ++o) {
       for (int i = 0; i < layer.n_in; ++i) {
         (void)i;
@@ -41,7 +44,9 @@ std::vector<int> ChromosomeCodec::encode(const ApproxMlp& net) const {
     for (int o = 0; o < layer.n_out; ++o) {
       for (int i = 0; i < layer.n_in; ++i) {
         const ApproxConn& c = layer.conn(o, i);
-        genes.push_back(static_cast<int>(c.mask));
+        const auto mask_hi =
+            static_cast<std::uint32_t>(bounds_[genes.size()].hi);
+        genes.push_back(static_cast<int>(c.mask & mask_hi));
         genes.push_back(c.sign < 0 ? 0 : 1);
         genes.push_back(c.exponent);
       }

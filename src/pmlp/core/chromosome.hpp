@@ -30,7 +30,10 @@ class ChromosomeCodec {
   [[nodiscard]] const mlp::Topology& topology() const { return topology_; }
   [[nodiscard]] const BitConfig& bits() const { return bits_; }
 
-  /// Model -> genes. Exact inverse of decode for in-bounds models.
+  /// Model -> genes. Exact inverse of decode for in-bounds models. A mask
+  /// gene's upper bound is the layer's all-ones input mask, clamped to the
+  /// low 31 bits (the widest a non-negative int holds) for inputs of 32 bits
+  /// or more; encode keeps only the mask bits its gene holds.
   [[nodiscard]] std::vector<int> encode(const ApproxMlp& net) const;
   /// Genes -> model (with QReLU shifts recomputed). Out-of-bounds gene
   /// values are clamped, making any integer vector decodable.

@@ -252,20 +252,10 @@ void EvalWorkspace::bind_block(const CompiledNet& net) {
   }
 }
 
-std::uint64_t EvalCache::hash_genes(std::span<const int> genes) {
-  // FNV-1a over the gene words.
-  std::uint64_t h = 14695981039346656037ull;
-  for (int g : genes) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(g));
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 bool EvalCache::lookup(std::span<const int> genes,
                        nsga2::Problem::Evaluation& out) {
   if (capacity_ == 0) return false;
-  const std::uint64_t h = hash_genes(genes);
+  const std::uint64_t h = nsga2::genome_hash(genes);
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(h);
   if (it != index_.end() &&
@@ -283,7 +273,7 @@ bool EvalCache::lookup(std::span<const int> genes,
 void EvalCache::insert(std::span<const int> genes,
                        const nsga2::Problem::Evaluation& ev) {
   if (capacity_ == 0) return;
-  const std::uint64_t h = hash_genes(genes);
+  const std::uint64_t h = nsga2::genome_hash(genes);
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(h);
   if (it != index_.end()) {

@@ -236,8 +236,8 @@ struct EvalCacheStats {
 };
 
 /// Bounded, thread-safe, genome-keyed LRU memo of evaluation results.
-/// Keys hash the full gene vector (FNV-1a) and compare exactly, so a hash
-/// collision can never return the wrong objectives. Capacity 0 = disabled
+/// Keys hash the full gene vector (nsga2::genome_hash) and compare exactly,
+/// so a hash collision can never return the wrong objectives. Capacity 0 = disabled
 /// (every lookup misses, inserts are dropped).
 class EvalCache {
  public:
@@ -261,8 +261,6 @@ class EvalCache {
     nsga2::Problem::Evaluation ev;
   };
   using Lru = std::list<Entry>;
-
-  static std::uint64_t hash_genes(std::span<const int> genes);
 
   std::size_t capacity_;
   mutable std::mutex mutex_;

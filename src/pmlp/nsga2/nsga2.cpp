@@ -1,14 +1,15 @@
 #include "pmlp/nsga2/nsga2.hpp"
 
 #include <algorithm>
-
-#include "pmlp/core/thread_pool.hpp"
 #include <chrono>
-#include <cmath>
+#include <cstring>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <sstream>
 #include <stdexcept>
+
+#include "pmlp/core/thread_pool.hpp"
 
 namespace pmlp::nsga2 {
 
@@ -26,75 +27,130 @@ bool dominates(const Individual& a, const Individual& b) {
   return strictly_better;
 }
 
+// Jensen's sweep (IEEE TEC 2003). In (f0, f1) order the fronts' latest
+// members have f1 non-decreasing with the front index, so the first front
+// whose latest member does not dominate a point is found by binary search.
+// That front is the length of the longest domination chain ending in the
+// point, which is its rank under Deb's peeling.
 int fast_non_dominated_sort(std::vector<Individual>& pop) {
-  const std::size_t n = pop.size();
-  std::vector<std::vector<std::size_t>> dominated(n);
-  std::vector<int> dominate_count(n, 0);
-  std::vector<std::size_t> current;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (dominates(pop[i], pop[j])) {
-        dominated[i].push_back(j);
-        ++dominate_count[j];
-      } else if (dominates(pop[j], pop[i])) {
-        dominated[j].push_back(i);
-        ++dominate_count[i];
-      }
+  thread_local std::vector<std::uint32_t> order, tails;
+  order.clear();
+  for (std::uint32_t i = 0; i < pop.size(); ++i) {
+    if (pop[i].objectives.size() != 2) {
+      throw std::invalid_argument("nsga2: ranking needs two objectives");
     }
-    if (dominate_count[i] == 0) {
-      pop[i].rank = 0;
-      current.push_back(i);
+    if (pop[i].constraint_violation <= 0.0) order.push_back(i);
+  }
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const double* x = pop[a].objectives.data();
+    const double* y = pop[b].objectives.data();
+    return x[0] < y[0] || (x[0] == y[0] && x[1] < y[1]);
+  });
+  tails.clear();
+  for (const std::uint32_t i : order) {
+    const auto front = std::partition_point(
+        tails.begin(), tails.end(),
+        [&](std::uint32_t tail) { return dominates(pop[tail], pop[i]); });
+    pop[i].rank = static_cast<int>(front - tails.begin());
+    if (front == tails.end()) {
+      tails.push_back(i);
+    } else {
+      *front = i;
     }
   }
 
-  int rank = 0;
-  while (!current.empty()) {
-    std::vector<std::size_t> next;
-    for (std::size_t i : current) {
-      for (std::size_t j : dominated[i]) {
-        if (--dominate_count[j] == 0) {
-          pop[j].rank = rank + 1;
-          next.push_back(j);
-        }
-      }
-    }
-    current = std::move(next);
-    ++rank;
+  int fronts = static_cast<int>(tails.size());
+  order.clear();
+  for (std::uint32_t i = 0; i < pop.size(); ++i) {
+    if (pop[i].constraint_violation > 0.0) order.push_back(i);
   }
-  return rank;
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return pop[a].constraint_violation < pop[b].constraint_violation;
+  });
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (k == 0 || pop[order[k]].constraint_violation !=
+                      pop[order[k - 1]].constraint_violation) {
+      ++fronts;
+    }
+    pop[order[k]].rank = fronts - 1;
+  }
+  return fronts;
 }
 
+/// Crowding distance per rank. Members of a rank are bucketed in ascending
+/// index order and sorted per objective in turn, so ties resolve exactly as
+/// in one scan per rank.
 void assign_crowding_distances(std::vector<Individual>& pop) {
   if (pop.empty()) return;
+  thread_local std::vector<std::uint32_t> bucket, offsets;
   const std::size_t n_obj = pop.front().objectives.size();
-  for (auto& ind : pop) ind.crowding = 0.0;
-
   int max_rank = 0;
-  for (const auto& ind : pop) max_rank = std::max(max_rank, ind.rank);
-
-  std::vector<std::size_t> idx;
-  for (int r = 0; r <= max_rank; ++r) {
-    idx.clear();
-    for (std::size_t i = 0; i < pop.size(); ++i) {
-      if (pop[i].rank == r) idx.push_back(i);
+  for (auto& ind : pop) {
+    if (ind.rank < 0) {
+      throw std::invalid_argument("nsga2: crowding needs ranked individuals");
     }
-    if (idx.empty()) continue;
+    ind.crowding = 0.0;
+    max_rank = std::max(max_rank, ind.rank);
+  }
+  // Counting sort by rank: offsets[r] .. offsets[r + 1] is rank r's bucket.
+  offsets.assign(static_cast<std::size_t>(max_rank) + 2, 0);
+  for (const auto& ind : pop) ++offsets[static_cast<std::size_t>(ind.rank) + 1];
+  for (std::size_t r = 1; r < offsets.size(); ++r) offsets[r] += offsets[r - 1];
+  bucket.resize(pop.size());
+  for (std::uint32_t i = 0; i < pop.size(); ++i) {
+    bucket[offsets[static_cast<std::size_t>(pop[i].rank)]++] = i;
+  }
+  // The fill advanced each offset to its bucket's end.
+  std::uint32_t begin = 0;
+  for (int r = 0; r <= max_rank; ++r) {
+    const auto first = bucket.begin() + begin;
+    const auto last = bucket.begin() + offsets[static_cast<std::size_t>(r)];
+    begin = offsets[static_cast<std::size_t>(r)];
+    if (first == last) continue;
+    const std::size_t size = static_cast<std::size_t>(last - first);
     for (std::size_t m = 0; m < n_obj; ++m) {
-      std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+      std::sort(first, last, [&](std::uint32_t a, std::uint32_t b) {
         return pop[a].objectives[m] < pop[b].objectives[m];
       });
-      const double lo = pop[idx.front()].objectives[m];
-      const double hi = pop[idx.back()].objectives[m];
-      pop[idx.front()].crowding = std::numeric_limits<double>::infinity();
-      pop[idx.back()].crowding = std::numeric_limits<double>::infinity();
+      const double lo = pop[first[0]].objectives[m];
+      const double hi = pop[first[size - 1]].objectives[m];
+      pop[first[0]].crowding = std::numeric_limits<double>::infinity();
+      pop[first[size - 1]].crowding = std::numeric_limits<double>::infinity();
       if (hi <= lo) continue;
-      for (std::size_t k = 1; k + 1 < idx.size(); ++k) {
-        pop[idx[k]].crowding += (pop[idx[k + 1]].objectives[m] -
-                                 pop[idx[k - 1]].objectives[m]) /
-                                (hi - lo);
+      for (std::size_t k = 1; k + 1 < size; ++k) {
+        pop[first[k]].crowding += (pop[first[k + 1]].objectives[m] -
+                                   pop[first[k - 1]].objectives[m]) /
+                                  (hi - lo);
       }
     }
+  }
+}
+
+void select_survivors(std::vector<Individual>& merged,
+                      std::vector<Individual>& survivors,
+                      std::vector<Individual>& rest) {
+  if (survivors.size() + rest.size() != merged.size()) {
+    throw std::invalid_argument("nsga2: survivors + rest != merged");
+  }
+  fast_non_dominated_sort(merged);
+  assign_crowding_distances(merged);
+  // Sorting an index permutation with the comparator that used to sort the
+  // individuals makes the same comparisons, so the (unstable) order is the
+  // same without moving gene vectors around.
+  thread_local std::vector<std::uint32_t> perm;
+  perm.resize(merged.size());
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::sort(perm.begin(), perm.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const Individual& x = merged[a];
+    const Individual& y = merged[b];
+    if (x.rank != y.rank) return x.rank < y.rank;
+    return x.crowding > y.crowding;
+  });
+  for (std::size_t k = 0; k < survivors.size(); ++k) {
+    survivors[k] = std::move(merged[perm[k]]);
+  }
+  for (std::size_t k = 0; k < rest.size(); ++k) {
+    rest[k] = std::move(merged[perm[survivors.size() + k]]);
   }
 }
 
@@ -139,14 +195,70 @@ PopulationEvaluator::PopulationEvaluator(const Problem& problem, int n_threads)
 
 PopulationEvaluator::~PopulationEvaluator() = default;
 
-long PopulationEvaluator::evaluate(std::span<Individual> pop) {
+// Two genes per 64-bit word over four independent lanes, so the multiply
+// chains overlap.
+std::uint64_t genome_hash(std::span<const int> genes) {
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  std::uint64_t lanes[4] = {genes.size(), 1, 2, 3};
+  std::size_t g = 0;
+  for (; g + 8 <= genes.size(); g += 8) {
+    std::uint64_t words[4];
+    std::memcpy(words, genes.data() + g, sizeof(words));
+    for (std::size_t k = 0; k < 4; ++k) lanes[k] = (lanes[k] ^ words[k]) * kMul;
+  }
+  for (; g < genes.size(); ++g) {
+    lanes[0] = (lanes[0] ^ static_cast<std::uint32_t>(genes[g])) * kMul;
+  }
+  std::uint64_t out = 0;
+  for (const std::uint64_t lane : lanes) {
+    out = (out ^ (lane >> 29) ^ lane) * kMul;
+  }
+  return out;
+}
+
+long PopulationEvaluator::evaluate(std::span<Individual> pop,
+                                   std::span<const Individual> known) {
+  // Dedupe on the calling thread. Key k < known.size() is known[k], key
+  // known.size() + i is pop[i]; sorting (hash, key) puts equal genomes in
+  // one run, lowest key first, so each slot's source is its first copy.
+  const std::size_t n_known = known.size();
+  const auto genes_of = [&](std::size_t key) -> const std::vector<int>& {
+    return key < n_known ? known[key].genes : pop[key - n_known].genes;
+  };
+  keys_.clear();
+  for (std::size_t k = 0; k < n_known + pop.size(); ++k) {
+    keys_.push_back({genome_hash(genes_of(k)), static_cast<std::uint32_t>(k)});
+  }
+  std::sort(keys_.begin(), keys_.end());
+  source_.assign(pop.size(), kUnique);
+  for (std::size_t run = 0; run < keys_.size();) {
+    std::size_t end = run + 1;
+    while (end < keys_.size() && keys_[end].first == keys_[run].first) ++end;
+    for (std::size_t e = run + 1; e < end; ++e) {
+      const std::uint32_t key = keys_[e].second;
+      if (key < n_known) continue;
+      for (std::size_t f = run; f < e; ++f) {
+        if (genes_of(keys_[f].second) == genes_of(key)) {
+          source_[key - n_known] = keys_[f].second;
+          break;
+        }
+      }
+    }
+    run = end;
+  }
+  todo_.clear();
+  for (std::uint32_t i = 0; i < pop.size(); ++i) {
+    if (source_[i] == kUnique) todo_.push_back(i);
+  }
+
   auto work = [this, pop](std::size_t chunk, std::size_t begin,
                           std::size_t end) {
     Problem::Workspace* ws = workspaces_[chunk].get();
-    for (std::size_t i = begin; i < end; ++i) {
-      auto ev = problem_.evaluate(pop[i].genes, ws);
-      pop[i].objectives = std::move(ev.objectives);
-      pop[i].constraint_violation = ev.constraint_violation;
+    for (std::size_t t = begin; t < end; ++t) {
+      Individual& ind = pop[todo_[t]];
+      auto ev = problem_.evaluate(ind.genes, ws);
+      ind.objectives = std::move(ev.objectives);
+      ind.constraint_violation = ev.constraint_violation;
     }
   };
   if (pool_) {
@@ -155,9 +267,17 @@ long PopulationEvaluator::evaluate(std::span<Individual> pop) {
     // to amortize: never split below 2 per worker — at bench-scale
     // populations a lone-chromosome chunk costs more in wakeup/join than
     // its evaluation (often a single cache hit) saves.
-    pool_->parallel_for(pop.size(), work, /*min_per_chunk=*/2);
+    pool_->parallel_for(todo_.size(), work, /*min_per_chunk=*/2);
   } else {
-    work(0, 0, pop.size());
+    work(0, 0, todo_.size());
+  }
+
+  for (std::size_t i = 0; i < pop.size(); ++i) {
+    if (source_[i] == kUnique) continue;
+    const std::uint32_t key = source_[i];
+    const Individual& from = key < n_known ? known[key] : pop[key - n_known];
+    pop[i].objectives = from.objectives;
+    pop[i].constraint_violation = from.constraint_violation;
   }
   return static_cast<long>(pop.size());
 }
@@ -242,20 +362,6 @@ std::vector<int> random_genes(const Problem& problem, std::mt19937_64& rng) {
   return genes;
 }
 
-/// Elitist environmental selection: best `size` by (rank, crowding).
-std::vector<Individual> select_survivors(std::vector<Individual> merged,
-                                         std::size_t size) {
-  fast_non_dominated_sort(merged);
-  assign_crowding_distances(merged);
-  std::sort(merged.begin(), merged.end(),
-            [](const Individual& a, const Individual& b) {
-              if (a.rank != b.rank) return a.rank < b.rank;
-              return a.crowding > b.crowding;
-            });
-  merged.resize(size);
-  return merged;
-}
-
 }  // namespace
 
 Result optimize(const Problem& problem, const Config& cfg) {
@@ -264,6 +370,9 @@ Result optimize(const Problem& problem, const Config& cfg) {
   }
   if (problem.n_genes() <= 0) {
     throw std::invalid_argument("nsga2: problem has no genes");
+  }
+  if (problem.n_objectives() != 2) {
+    throw std::invalid_argument("nsga2: problem must have two objectives");
   }
   const auto t0 = std::chrono::steady_clock::now();
   std::mt19937_64 rng(cfg.seed);
@@ -290,6 +399,12 @@ Result optimize(const Problem& problem, const Config& cfg) {
     rng_in >> rng;
     if (!rng_in) {
       throw std::invalid_argument("nsga2: resume state RNG does not parse");
+    }
+    for (const auto& ind : pop) {
+      if (static_cast<int>(ind.genes.size()) != problem.n_genes()) {
+        throw std::invalid_argument("nsga2: resume state genome size "
+                                    "mismatch");
+      }
     }
     result.evaluations = cfg.resume->evaluations;
     start_generation = cfg.resume->next_generation;
@@ -320,30 +435,28 @@ Result optimize(const Problem& problem, const Config& cfg) {
   std::bernoulli_distribution do_crossover(cfg.crossover_prob);
   std::bernoulli_distribution do_mutation(cfg.mutation_prob);
 
+  // Offspring slots and the merged set persist across generations; selection
+  // hands the losers back as offspring slots, so gene buffers are reused.
+  std::vector<Individual> offspring(pop.size());
+  std::vector<Individual> merged(2 * pop.size());
   for (int gen = start_generation; gen < cfg.generations; ++gen) {
     // --- Variation: tournament parents -> crossover -> mutation.
-    std::vector<Individual> offspring;
-    offspring.reserve(static_cast<std::size_t>(cfg.population));
-    while (static_cast<int>(offspring.size()) < cfg.population) {
-      std::vector<int> c1 = tournament(pop, rng).genes;
-      std::vector<int> c2 = tournament(pop, rng).genes;
+    for (std::size_t k = 0; k < offspring.size(); k += 2) {
+      std::vector<int>& c1 = offspring[k].genes;
+      std::vector<int>& c2 = offspring[k + 1].genes;
+      c1 = tournament(pop, rng).genes;
+      c2 = tournament(pop, rng).genes;
       if (do_crossover(rng)) crossover_genes(c1, c2, cfg.crossover, rng);
       if (do_mutation(rng)) mutate_genes(c1, problem, cfg, rng);
       if (do_mutation(rng)) mutate_genes(c2, problem, cfg, rng);
-      Individual i1, i2;
-      i1.genes = std::move(c1);
-      i2.genes = std::move(c2);
-      offspring.push_back(std::move(i1));
-      offspring.push_back(std::move(i2));
     }
-    result.evaluations += evaluator.evaluate(offspring);
+    result.evaluations += evaluator.evaluate(offspring, pop);
 
     // --- Elitist survivor selection over parents + offspring.
-    std::vector<Individual> merged = std::move(pop);
-    merged.insert(merged.end(), std::make_move_iterator(offspring.begin()),
-                  std::make_move_iterator(offspring.end()));
-    pop = select_survivors(std::move(merged),
-                           static_cast<std::size_t>(cfg.population));
+    std::move(pop.begin(), pop.end(), merged.begin());
+    std::move(offspring.begin(), offspring.end(),
+              merged.begin() + static_cast<std::ptrdiff_t>(pop.size()));
+    select_survivors(merged, pop, offspring);
     if (cfg.on_generation) cfg.on_generation(gen, pop);
     if (cfg.checkpoint_every > 0 && cfg.on_checkpoint &&
         gen + 1 < cfg.generations &&

@@ -1,7 +1,13 @@
 // NSGA-II (Deb et al., 2002) over integer genomes, as the paper's training
-// engine (§IV-A): fast non-dominated sorting, crowding distance, binary
+// engine (§IV-A): non-dominated sorting, crowding distance, binary
 // tournament, uniform/k-point crossover and reset/creep mutation, with
 // constraint domination for the paper's 10% accuracy-loss bound.
+//
+// Each generation's serial part is kept lean: two-objective ranking is
+// Jensen's O(N log N) sweep (same ranks as Deb's O(N^2) peeling), survivor
+// selection sorts an index permutation instead of individuals, and the
+// evaluator scores each distinct genome of a batch once. Results are
+// bit-identical to the textbook loop.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +16,7 @@
 #include <optional>
 #include <random>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace pmlp::core {
@@ -40,12 +47,17 @@ class Problem {
 
   [[nodiscard]] virtual int n_genes() const = 0;
   [[nodiscard]] virtual GeneBounds bounds(int gene) const = 0;
+  /// optimize() ranks two objectives only and rejects any other count.
   [[nodiscard]] virtual int n_objectives() const { return 2; }
 
   struct Evaluation {
-    std::vector<double> objectives;
-    double constraint_violation = 0.0;
+    std::vector<double> objectives;  ///< not NaN
+    double constraint_violation = 0.0;  ///< not NaN
   };
+  /// Must be pure: equal genes give a bit-equal Evaluation, whatever was
+  /// evaluated before and on whichever thread. PopulationEvaluator relies on
+  /// this to score each distinct genome of a batch once and copy the result
+  /// to its duplicates, and core::EvalCache to memoize across batches.
   [[nodiscard]] virtual Evaluation evaluate(std::span<const int> genes) const = 0;
 
   /// Opaque per-worker scratch state for evaluate(). PopulationEvaluator
@@ -149,10 +161,13 @@ struct Result {
 };
 
 /// Batched population evaluator: scores individuals against one Problem on
-/// a persistent worker pool (created once, reused across generations). Each
-/// result is written into its individual's own slot under a static index
-/// partition, so the outcome is bit-identical for any thread count. Every
-/// worker owns one Problem::Workspace for the evaluator's lifetime, so
+/// a persistent worker pool (created once, reused across generations).
+/// Duplicate genomes are found first, on the calling thread in slot order;
+/// only the first copy of each reaches Problem::evaluate, so the problem sees
+/// the same calls for any thread count. Each result is written into its
+/// individual's own slot under a static index partition and then copied to
+/// the duplicates, so the outcome is bit-identical for any thread count.
+/// Every worker owns one Problem::Workspace for the evaluator's lifetime, so
 /// workspace-aware problems evaluate allocation-free.
 class PopulationEvaluator {
  public:
@@ -163,9 +178,13 @@ class PopulationEvaluator {
   PopulationEvaluator(const PopulationEvaluator&) = delete;
   PopulationEvaluator& operator=(const PopulationEvaluator&) = delete;
 
-  /// Fill objectives/constraint_violation for every individual; returns the
-  /// number of evaluations performed (pop.size()).
-  long evaluate(std::span<Individual> pop);
+  /// Fill objectives/constraint_violation for every individual of `pop`. An
+  /// individual whose genes equal one of `known` (already evaluated, e.g. the
+  /// current parents) or of an earlier slot takes that evaluation instead of
+  /// calling the problem. Returns the number of slots scored, pop.size(),
+  /// which counts duplicates too.
+  long evaluate(std::span<Individual> pop,
+                std::span<const Individual> known = {});
 
   /// Worker count actually in use (1 when running serially).
   [[nodiscard]] int n_threads() const { return n_threads_; }
@@ -176,7 +195,17 @@ class PopulationEvaluator {
   std::unique_ptr<core::ThreadPool> pool_;  ///< null when serial
   /// One workspace per worker; entries may be null (workspace-free problem).
   std::vector<std::unique_ptr<Problem::Workspace>> workspaces_;
+
+  // Per-batch dedupe scratch, reused across calls.
+  static constexpr std::uint32_t kUnique = 0xFFFFFFFFu;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keys_;  ///< hash, key
+  std::vector<std::uint32_t> source_;  ///< per slot: first copy's key
+  std::vector<std::uint32_t> todo_;    ///< slots the problem evaluates
 };
+
+/// Multiply-xor hash of a genome, for dedupe and memo keys. Callers confirm
+/// equal hashes with an exact gene compare.
+[[nodiscard]] std::uint64_t genome_hash(std::span<const int> genes);
 
 /// Run NSGA-II. Deterministic in cfg.seed (also with n_threads != 1).
 [[nodiscard]] Result optimize(const Problem& problem, const Config& cfg);
@@ -187,11 +216,29 @@ class PopulationEvaluator {
 /// compare by violation; two feasible by Pareto dominance on objectives.
 [[nodiscard]] bool dominates(const Individual& a, const Individual& b);
 
-/// Assign ranks (fronts) in place; returns the number of fronts.
+/// Assign ranks (fronts) in place under constraint domination; returns the
+/// number of fronts. O(N log N): feasible individuals are swept in (f0, f1)
+/// order, each joining the first front whose latest member does not
+/// dominate it (binary search); infeasible ones follow in ascending
+/// violation, equal violations sharing a rank. The ranks equal Deb's O(N^2)
+/// peeling. Every individual must carry two objectives (else
+/// std::invalid_argument); objectives and violations must not be NaN.
 int fast_non_dominated_sort(std::vector<Individual>& pop);
 
-/// Assign crowding distances within each rank, in place.
+/// Assign crowding distances within each rank, in place. Needs the ranks
+/// fast_non_dominated_sort assigns (a negative rank throws
+/// std::invalid_argument).
 void assign_crowding_distances(std::vector<Individual>& pop);
+
+/// Elitist environmental selection over `merged` (parents, then offspring):
+/// ranks and crowds it in place, then moves the best survivors.size() by
+/// (rank, crowding) into `survivors` in selection order and the rest into
+/// `rest`. The order is that of std::sort over the individuals, so it is
+/// part of the resume state. Needs survivors.size() + rest.size() ==
+/// merged.size() (else std::invalid_argument).
+void select_survivors(std::vector<Individual>& merged,
+                      std::vector<Individual>& survivors,
+                      std::vector<Individual>& rest);
 
 /// Deduplicated feasible rank-0 subset (by objective vector).
 [[nodiscard]] std::vector<Individual> extract_pareto_front(

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 
 #include "pmlp/bitops/bitops.hpp"
@@ -186,6 +188,44 @@ TEST(ChromosomeCodec, BoundsMatchBitConfig) {
   const int bias_gene = 3 * 3;
   EXPECT_EQ(codec.bounds(bias_gene).lo, -16);
   EXPECT_EQ(codec.bounds(bias_gene).hi, 15);
+}
+
+TEST(ChromosomeCodec, BoundsOrderedForWideActivations) {
+  // Hidden-layer mask genes span act_bits-wide inputs; from 32 bits on the
+  // full mask does not fit a non-negative int and the bound is clamped.
+  for (const int act_bits : {8, 31, 32, 36}) {
+    core::BitConfig bits;
+    bits.act_bits = act_bits;
+    core::ChromosomeCodec codec(mlp::Topology{{3, 4, 2}}, bits);
+    int hidden_mask_hi = 0;
+    for (int g = 0; g < codec.n_genes(); ++g) {
+      const auto b = codec.bounds(g);
+      EXPECT_LE(b.lo, b.hi) << "act_bits " << act_bits << " gene " << g;
+      if (codec.kind(g) == core::GeneKind::kMask) {
+        hidden_mask_hi = std::max(hidden_mask_hi, b.hi);
+      }
+    }
+    const std::int64_t full = (std::int64_t{1} << act_bits) - 1;
+    EXPECT_EQ(hidden_mask_hi, std::min<std::int64_t>(
+                                  full, std::numeric_limits<int>::max()))
+        << "act_bits " << act_bits;
+
+    // A max-mask net (every gene at its upper bound) round-trips.
+    std::vector<int> genes(static_cast<std::size_t>(codec.n_genes()));
+    for (int g = 0; g < codec.n_genes(); ++g) {
+      genes[static_cast<std::size_t>(g)] = codec.bounds(g).hi;
+    }
+    const auto net = codec.decode(genes);
+    EXPECT_EQ(codec.encode(net), genes) << "act_bits " << act_bits;
+    EXPECT_EQ(net.layers()[1].conn(0, 0).mask,
+              static_cast<std::uint32_t>(hidden_mask_hi));
+
+    // A full 32-bit hidden mask encodes as the bound instead of wrapping to
+    // a negative gene.
+    auto wide = net;
+    wide.layers()[1].conn(0, 0).mask = 0xFFFFFFFFu;
+    EXPECT_EQ(codec.encode(wide), genes) << "act_bits " << act_bits;
+  }
 }
 
 // --------------------------------------------------------------- problem

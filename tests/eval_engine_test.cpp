@@ -4,7 +4,10 @@
 // memo cache must never change a training outcome — only its speed.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -229,10 +232,11 @@ const Fixture& fixture() {
   return f;
 }
 
-nsga2::Result run_ga(const core::HwAwareProblem& problem, int n_threads) {
+nsga2::Result run_ga(const nsga2::Problem& problem, int n_threads,
+                     int generations = 4) {
   nsga2::Config cfg;
   cfg.population = 16;
-  cfg.generations = 4;
+  cfg.generations = generations;
   cfg.seed = 77;
   cfg.n_threads = n_threads;
   return nsga2::optimize(problem, cfg);
@@ -251,26 +255,67 @@ void expect_identical(const nsga2::Result& a, const nsga2::Result& b) {
   }
 }
 
+/// Forwards to another problem and counts the genomes that reach it.
+class CountingProblem final : public nsga2::Problem {
+ public:
+  explicit CountingProblem(const nsga2::Problem& inner) : inner_(inner) {}
+  int n_genes() const override { return inner_.n_genes(); }
+  nsga2::GeneBounds bounds(int gene) const override {
+    return inner_.bounds(gene);
+  }
+  Evaluation evaluate(std::span<const int> genes) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.evaluate(genes);
+  }
+  std::vector<std::vector<int>> seed_individuals(int max) const override {
+    return inner_.seed_individuals(max);
+  }
+  std::optional<int> mutate_gene(int gene, int current,
+                                 std::mt19937_64& rng) const override {
+    return inner_.mutate_gene(gene, current, rng);
+  }
+  long calls() const { return calls_.load(); }
+
+ private:
+  const nsga2::Problem& inner_;
+  mutable std::atomic<long> calls_{0};
+};
+
 }  // namespace
 
 TEST(EvalEngine, CachedAndUncachedFrontsIdenticalUnderParallelism) {
   const auto& f = fixture();
   const core::ChromosomeCodec codec(f.topology, core::BitConfig{});
+  // Long enough that offspring rediscover genomes scored in an earlier
+  // generation but no longer among the parents: only the cache serves those.
+  constexpr int kGenerations = 24;
 
   core::ProblemConfig uncached_cfg;
   uncached_cfg.eval_cache_capacity = 0;
   core::HwAwareProblem uncached(codec, f.train, f.baseline, uncached_cfg);
-  const auto reference = run_ga(uncached, 1);
+  const CountingProblem counted(uncached);
+  const auto reference = run_ga(counted, 1, kGenerations);
+  EXPECT_LT(counted.calls(), 16 * (kGenerations + 1));
 
   core::ProblemConfig cached_cfg;
   cached_cfg.eval_cache_capacity = 1 << 12;
-  for (int n_threads : {1, 4}) {
+  std::vector<long> hits;
+  for (int n_threads : {1, 2, 4}) {
     core::HwAwareProblem cached(codec, f.train, f.baseline, cached_cfg);
-    expect_identical(reference, run_ga(cached, n_threads));
+    expect_identical(reference, run_ga(cached, n_threads, kGenerations));
     const auto stats = cached.cache_stats();
-    EXPECT_GT(stats.hits, 0) << "elitist GA should produce duplicates";
-    EXPECT_EQ(stats.lookups(), 16 * 5);  // pop * (init + generations)
+    // The evaluator copies duplicates within a generation and clones of a
+    // parent, so the cache sees exactly the genomes that reach the problem:
+    // fewer than the slots scored, and the same at every thread
+    // count. This cache never evicts (capacity >> lookups), so its hits do
+    // not depend on the thread count either; with eviction they would,
+    // because the LRU refresh order follows thread interleaving.
+    EXPECT_EQ(stats.lookups(), counted.calls()) << n_threads << " threads";
+    EXPECT_GT(stats.hits, 0) << "offspring should rediscover older genomes";
+    hits.push_back(stats.hits);
   }
+  EXPECT_EQ(hits[1], hits[0]);
+  EXPECT_EQ(hits[2], hits[0]);
 }
 
 TEST(EvalEngine, TinyCacheStaysBitIdentical) {
