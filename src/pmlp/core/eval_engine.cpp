@@ -161,7 +161,7 @@ const std::int32_t* CompiledNet::sweep_block(SimdIsa isa,
   std::int32_t* nxt = ws.block_a_.data();
   std::int32_t* spare = ws.block_b_.data();
   for (const auto& layer : layers_) {
-    layer_sweep(isa, layer, cur, nxt, nxt, n, act_max32_);
+    layer_sweep(isa, layer, cur, nxt, n, act_max32_);
     cur = nxt;
     std::swap(nxt, spare);
   }

@@ -17,11 +17,12 @@
 //              reads those planes in place.
 //   batch    — sweep each layer over the sample blocks, later layers
 //              ping-ponging through `EvalWorkspace` flat buffers (zero
-//              allocations after warmup), through explicitly vectorized
-//              mask-and-accumulate kernels and a first-max argmax kernel
-//              picked by runtime CPU dispatch (AVX2 / NEON / scalar — see
-//              simd.hpp, eval_kernels.hpp). Raw row-major inputs (serve,
-//              hardware analysis, RTL checks) are transposed per block.
+//              allocations after warmup), through one portable
+//              mask-and-accumulate loop nest and a first-max argmax, each
+//              compiled plain and as an AVX2 clone picked by runtime CPU
+//              dispatch (see simd.hpp, eval_kernels.hpp). Raw row-major
+//              inputs (serve, hardware analysis, RTL checks) are
+//              transposed per block.
 //   memoize  — a genome-keyed bounded-LRU cache (`EvalCache`) short-circuits
 //              re-evaluation of duplicate individuals, which NSGA-II
 //              crossover/mutation produce every generation (an offspring

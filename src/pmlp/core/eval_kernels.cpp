@@ -1,335 +1,154 @@
 #include "pmlp/core/eval_kernels.hpp"
 
-#include <algorithm>
 #include <cstddef>
+#include <limits>
+#include <type_traits>
 
 #include "pmlp/core/eval_engine.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define PMLP_HAVE_AVX2 1
-#include <immintrin.h>
 #endif
-#if defined(__aarch64__)
-#define PMLP_HAVE_NEON 1
-#include <arm_neon.h>
+
+// The loop bodies are force-inlined into each ISA clone, so the clone's
+// target options (and its vectorization) cover them.
+#if defined(__GNUC__) || defined(__clang__)
+#define PMLP_FORCE_INLINE inline __attribute__((always_inline))
+#else
+#define PMLP_FORCE_INLINE inline
 #endif
 
 namespace pmlp::core {
 namespace {
 
-/// Portable sweep of samples [s0, s1) of the block — the whole block under
-/// scalar dispatch, and the n % lanes tail of the SIMD variants. Samples run
-/// innermost over one connection at a time, so the compiler vectorizes each
-/// pass over the contiguous input plane; every sample still adds the bias
-/// and then its terms in CompiledNet::forward's connection order, the int32
-/// image of the int64 loop.
-void sweep_scalar(const CompiledLayer& layer, const std::int32_t* in,
-                  std::int32_t* acc, std::int32_t* act, int n, int s0, int s1,
-                  std::int32_t act_max) {
+constexpr int kB = CompiledNet::kBlockSamples;
+using FullBlock = std::integral_constant<int, kB>;
+
+/// Activation of one lane, `min(max(acc, lo) >> shift, hi)`: QReLU's
+/// `acc <= 0 ? 0 : min(acc >> shift, act_max)` with lo = 0, and the raw
+/// accumulator with lo = INT32_MIN, shift 0, hi = INT32_MAX, so both kinds
+/// of layer run the same branch-free lane ops.
+struct Activation {
+  std::int32_t lo;
+  int shift;
+  std::int32_t hi;
+
+  PMLP_FORCE_INLINE std::int32_t operator()(std::int32_t acc) const {
+    const std::int32_t v = (acc > lo ? acc : lo) >> shift;
+    return v < hi ? v : hi;
+  }
+};
+
+/// Sweep one neuron with connections [c, end), c != end, over `len`
+/// samples of input planes `in` (stride `len`) into its activation plane
+/// `out`. Samples run innermost over one connection at a time, so each
+/// pass is a vector op over the contiguous input plane; a full block
+/// passes `len` as a constant, and the loop runs at least once, so the
+/// compiler keeps the whole accumulator tile in registers. Every sample
+/// adds the bias and then its terms in CompiledNet::forward's connection
+/// order, the int32 image of the int64 loop.
+template <typename Len>
+PMLP_FORCE_INLINE void sweep_neuron(const CompiledConn* c,
+                                    const CompiledConn* end,
+                                    std::int32_t bias, const std::int32_t* in,
+                                    std::int32_t* out, Len len,
+                                    Activation act) {
+  std::int32_t a[kB];
+  for (int s = 0; s < len; ++s) a[s] = bias;
+  do {
+    const std::int32_t* x = in + static_cast<std::size_t>(c->in) * len;
+    const auto mask = static_cast<std::int32_t>(c->mask);
+    const std::int32_t k = c->shift;
+    if (c->neg) {
+      for (int s = 0; s < len; ++s) a[s] -= (x[s] & mask) << k;
+    } else {
+      for (int s = 0; s < len; ++s) a[s] += (x[s] & mask) << k;
+    }
+  } while (++c != end);
+  for (int s = 0; s < len; ++s) out[s] = act(a[s]);
+}
+
+PMLP_FORCE_INLINE void sweep_body(const CompiledLayer& layer,
+                                  const std::int32_t* in, std::int32_t* planes,
+                                  int n, std::int32_t act_max) {
   const CompiledConn* conns = layer.conns.data();
   const std::int32_t* begin = layer.conn_begin.data();
-  const int len = s1 - s0;
-  std::int32_t a[CompiledNet::kBlockSamples];
+  const Activation act =
+      layer.qrelu ? Activation{0, layer.qrelu_shift, act_max}
+                  : Activation{std::numeric_limits<std::int32_t>::min(), 0,
+                               std::numeric_limits<std::int32_t>::max()};
   for (int o = 0; o < layer.n_out; ++o) {
     const auto bias =
         static_cast<std::int32_t>(layer.biases[static_cast<std::size_t>(o)]);
-    for (int s = 0; s < len; ++s) a[s] = bias;
-    for (std::int32_t c = begin[o]; c < begin[o + 1]; ++c) {
-      const CompiledConn& cc = conns[c];
-      const std::int32_t* x = in + static_cast<std::size_t>(cc.in) * n + s0;
-      const auto mask = static_cast<std::int32_t>(cc.mask);
-      if (cc.neg) {
-        for (int s = 0; s < len; ++s) a[s] -= (x[s] & mask) << cc.shift;
-      } else {
-        for (int s = 0; s < len; ++s) a[s] += (x[s] & mask) << cc.shift;
-      }
-    }
-    std::int32_t* accp = acc + static_cast<std::size_t>(o) * n + s0;
-    std::int32_t* actp = act + static_cast<std::size_t>(o) * n + s0;
-    for (int s = 0; s < len; ++s) accp[s] = a[s];
-    if (layer.qrelu) {
-      for (int s = 0; s < len; ++s) {
-        actp[s] = std::min(std::max(a[s], 0) >> layer.qrelu_shift, act_max);
-      }
+    std::int32_t* out = planes + static_cast<std::size_t>(o) * n;
+    const CompiledConn* c = conns + begin[o];
+    const CompiledConn* end = conns + begin[o + 1];
+    if (c == end) {
+      const std::int32_t v = act(bias);
+      for (int s = 0; s < n; ++s) out[s] = v;
+    } else if (n == kB) {
+      sweep_neuron(c, end, bias, in, out, FullBlock{}, act);
     } else {
-      for (int s = 0; s < len; ++s) actp[s] = a[s];
+      sweep_neuron(c, end, bias, in, out, n, act);
     }
   }
 }
 
-/// First-max argmax of samples [s0, s1) — the scalar variant, the oracle
-/// of the vector ones, and their n % lanes tail.
-void argmax_scalar(const std::int32_t* planes, int n_out, int n, int s0,
-                   int s1, std::int32_t* preds) {
-  for (int s = s0; s < s1; ++s) {
-    std::int32_t best = 0;
-    std::int32_t best_v = planes[s];
-    for (int k = 1; k < n_out; ++k) {
-      const std::int32_t v = planes[static_cast<std::size_t>(k) * n + s];
-      if (v > best_v) {
-        best_v = v;
-        best = k;
-      }
+/// First-max argmax over the block: per sample a running maximum and its
+/// class, replaced only where a later class is strictly greater — exactly
+/// argmax_first's tie rule, as a select the compiler vectorizes (cmpgt +
+/// blend under AVX2).
+PMLP_FORCE_INLINE void argmax_body(const std::int32_t* planes, int n_out,
+                                   int n, std::int32_t* preds) {
+  std::int32_t best_v[kB];
+  for (int s = 0; s < n; ++s) {
+    best_v[s] = planes[s];
+    preds[s] = 0;
+  }
+  for (int k = 1; k < n_out; ++k) {
+    const std::int32_t* v = planes + static_cast<std::size_t>(k) * n;
+    for (int s = 0; s < n; ++s) {
+      const bool gt = v[s] > best_v[s];
+      best_v[s] = gt ? v[s] : best_v[s];
+      preds[s] = gt ? k : preds[s];
     }
-    preds[s] = best;
   }
 }
 
 #if defined(PMLP_HAVE_AVX2)
+__attribute__((target("avx2"))) void sweep_avx2(const CompiledLayer& layer,
+                                                const std::int32_t* in,
+                                                std::int32_t* act, int n,
+                                                std::int32_t act_max) {
+  sweep_body(layer, in, act, n, act_max);
+}
+
 __attribute__((target("avx2"))) void argmax_avx2(const std::int32_t* planes,
                                                  int n_out, int n,
                                                  std::int32_t* preds) {
-  const int vec_end = n & ~7;
-  for (int s = 0; s < vec_end; s += 8) {
-    __m256i best_v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(planes + s));
-    __m256i best = _mm256_setzero_si256();
-    for (int k = 1; k < n_out; ++k) {
-      const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-          planes + static_cast<std::size_t>(k) * n + s));
-      // Strictly greater only: an equal later class keeps the earlier
-      // index, as argmax_first does.
-      const __m256i gt = _mm256_cmpgt_epi32(v, best_v);
-      best_v = _mm256_max_epi32(best_v, v);
-      best = _mm256_blendv_epi8(best, _mm256_set1_epi32(k), gt);
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(preds + s), best);
-  }
-  if (vec_end < n) argmax_scalar(planes, n_out, n, vec_end, n, preds);
+  argmax_body(planes, n_out, n, preds);
 }
-
-__attribute__((target("avx2"))) void sweep_avx2(
-    const CompiledLayer& layer, const std::int32_t* in, std::int32_t* acc,
-    std::int32_t* act, int n, std::int32_t act_max) {
-  const CompiledConn* conns = layer.conns.data();
-  const std::int32_t* begin = layer.conn_begin.data();
-  const int vec_end = n & ~7;
-  const int quad_end = n & ~31;
-  const __m256i vzero = _mm256_setzero_si256();
-  const __m256i vact_max = _mm256_set1_epi32(act_max);
-  const __m128i vqshift = _mm_cvtsi32_si128(layer.qrelu_shift);
-  for (int o = 0; o < layer.n_out; ++o) {
-    std::int32_t* accp = acc + static_cast<std::size_t>(o) * n;
-    std::int32_t* actp = act + static_cast<std::size_t>(o) * n;
-    const __m256i vbias = _mm256_set1_epi32(static_cast<std::int32_t>(
-        layer.biases[static_cast<std::size_t>(o)]));
-    const std::int32_t cb = begin[o];
-    const std::int32_t ce = begin[o + 1];
-    int s = 0;
-    // 32-samples-per-pass main loop: the per-connection setup (struct
-    // load, mask broadcast, shift-count move, sign branch) is paid once
-    // per four 8-lane vectors instead of once per vector. Each lane still
-    // accumulates its sample's terms in the exact scalar order, so the
-    // unroll cannot change any result bit.
-    for (; s < quad_end; s += 32) {
-      __m256i a0 = vbias, a1 = vbias, a2 = vbias, a3 = vbias;
-      for (std::int32_t c = cb; c < ce; ++c) {
-        const CompiledConn& cc = conns[c];
-        const __m256i vmask =
-            _mm256_set1_epi32(static_cast<std::int32_t>(cc.mask));
-        const __m128i vsh = _mm_cvtsi32_si128(cc.shift);
-        const std::int32_t* p = in + static_cast<std::size_t>(cc.in) * n + s;
-        __m256i v0 = _mm256_sll_epi32(
-            _mm256_and_si256(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)),
-                vmask),
-            vsh);
-        __m256i v1 = _mm256_sll_epi32(
-            _mm256_and_si256(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 8)),
-                vmask),
-            vsh);
-        __m256i v2 = _mm256_sll_epi32(
-            _mm256_and_si256(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 16)),
-                vmask),
-            vsh);
-        __m256i v3 = _mm256_sll_epi32(
-            _mm256_and_si256(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 24)),
-                vmask),
-            vsh);
-        if (cc.neg) {
-          a0 = _mm256_sub_epi32(a0, v0);
-          a1 = _mm256_sub_epi32(a1, v1);
-          a2 = _mm256_sub_epi32(a2, v2);
-          a3 = _mm256_sub_epi32(a3, v3);
-        } else {
-          a0 = _mm256_add_epi32(a0, v0);
-          a1 = _mm256_add_epi32(a1, v1);
-          a2 = _mm256_add_epi32(a2, v2);
-          a3 = _mm256_add_epi32(a3, v3);
-        }
-      }
-      const __m256i as[4] = {a0, a1, a2, a3};
-      for (int q = 0; q < 4; ++q) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(accp + s + q * 8),
-                            as[q]);
-      }
-      if (layer.qrelu) {
-        // max(acc, 0) then >> then clamp matches the scalar
-        // `acc <= 0 ? 0 : min(acc >> shift, act_max)` exactly: a
-        // non-positive accumulator becomes 0, which shifts/clamps to 0.
-        for (int q = 0; q < 4; ++q) {
-          __m256i r = _mm256_max_epi32(as[q], vzero);
-          r = _mm256_sra_epi32(r, vqshift);
-          r = _mm256_min_epi32(r, vact_max);
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(actp + s + q * 8),
-                              r);
-        }
-      } else if (actp != accp) {
-        for (int q = 0; q < 4; ++q) {
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(actp + s + q * 8),
-                              as[q]);
-        }
-      }
-    }
-    for (; s < vec_end; s += 8) {
-      __m256i a = vbias;
-      for (std::int32_t c = cb; c < ce; ++c) {
-        const CompiledConn& cc = conns[c];
-        __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-            in + static_cast<std::size_t>(cc.in) * n + s));
-        v = _mm256_and_si256(
-            v, _mm256_set1_epi32(static_cast<std::int32_t>(cc.mask)));
-        v = _mm256_sll_epi32(v, _mm_cvtsi32_si128(cc.shift));
-        a = cc.neg ? _mm256_sub_epi32(a, v) : _mm256_add_epi32(a, v);
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(accp + s), a);
-      if (layer.qrelu) {
-        __m256i r = _mm256_max_epi32(a, vzero);
-        r = _mm256_sra_epi32(r, vqshift);
-        r = _mm256_min_epi32(r, vact_max);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(actp + s), r);
-      } else if (actp != accp) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(actp + s), a);
-      }
-    }
-  }
-  if (vec_end < n) sweep_scalar(layer, in, acc, act, n, vec_end, n, act_max);
-}
-#endif  // PMLP_HAVE_AVX2
-
-#if defined(PMLP_HAVE_NEON)
-void sweep_neon(const CompiledLayer& layer, const std::int32_t* in,
-                std::int32_t* acc, std::int32_t* act, int n,
-                std::int32_t act_max) {
-  const CompiledConn* conns = layer.conns.data();
-  const std::int32_t* begin = layer.conn_begin.data();
-  const int vec_end = n & ~3;
-  const int quad_end = n & ~15;
-  const int32x4_t vzero = vdupq_n_s32(0);
-  const int32x4_t vact_max = vdupq_n_s32(act_max);
-  // SSHL by a negative count is a truncating right shift — for the
-  // non-negative post-max accumulator that equals the scalar `>>`.
-  const int32x4_t vqshift = vdupq_n_s32(-layer.qrelu_shift);
-  for (int o = 0; o < layer.n_out; ++o) {
-    std::int32_t* accp = acc + static_cast<std::size_t>(o) * n;
-    std::int32_t* actp = act + static_cast<std::size_t>(o) * n;
-    const int32x4_t vbias = vdupq_n_s32(
-        static_cast<std::int32_t>(layer.biases[static_cast<std::size_t>(o)]));
-    const std::int32_t cb = begin[o];
-    const std::int32_t ce = begin[o + 1];
-    int s = 0;
-    // 16-samples-per-pass main loop: per-connection broadcasts amortized
-    // over four 4-lane vectors (see the AVX2 twin for the bit-identity
-    // argument — per-lane accumulation order is unchanged).
-    for (; s < quad_end; s += 16) {
-      int32x4_t a0 = vbias, a1 = vbias, a2 = vbias, a3 = vbias;
-      for (std::int32_t c = cb; c < ce; ++c) {
-        const CompiledConn& cc = conns[c];
-        const int32x4_t vmask = vdupq_n_s32(static_cast<std::int32_t>(cc.mask));
-        const int32x4_t vsh = vdupq_n_s32(cc.shift);
-        const std::int32_t* p = in + static_cast<std::size_t>(cc.in) * n + s;
-        const int32x4_t v0 = vshlq_s32(vandq_s32(vld1q_s32(p), vmask), vsh);
-        const int32x4_t v1 =
-            vshlq_s32(vandq_s32(vld1q_s32(p + 4), vmask), vsh);
-        const int32x4_t v2 =
-            vshlq_s32(vandq_s32(vld1q_s32(p + 8), vmask), vsh);
-        const int32x4_t v3 =
-            vshlq_s32(vandq_s32(vld1q_s32(p + 12), vmask), vsh);
-        if (cc.neg) {
-          a0 = vsubq_s32(a0, v0);
-          a1 = vsubq_s32(a1, v1);
-          a2 = vsubq_s32(a2, v2);
-          a3 = vsubq_s32(a3, v3);
-        } else {
-          a0 = vaddq_s32(a0, v0);
-          a1 = vaddq_s32(a1, v1);
-          a2 = vaddq_s32(a2, v2);
-          a3 = vaddq_s32(a3, v3);
-        }
-      }
-      const int32x4_t as[4] = {a0, a1, a2, a3};
-      for (int q = 0; q < 4; ++q) vst1q_s32(accp + s + q * 4, as[q]);
-      if (layer.qrelu) {
-        for (int q = 0; q < 4; ++q) {
-          int32x4_t r = vmaxq_s32(as[q], vzero);
-          r = vshlq_s32(r, vqshift);
-          r = vminq_s32(r, vact_max);
-          vst1q_s32(actp + s + q * 4, r);
-        }
-      } else if (actp != accp) {
-        for (int q = 0; q < 4; ++q) vst1q_s32(actp + s + q * 4, as[q]);
-      }
-    }
-    for (; s < vec_end; s += 4) {
-      int32x4_t a = vbias;
-      for (std::int32_t c = cb; c < ce; ++c) {
-        const CompiledConn& cc = conns[c];
-        int32x4_t v =
-            vld1q_s32(in + static_cast<std::size_t>(cc.in) * n + s);
-        v = vandq_s32(v, vdupq_n_s32(static_cast<std::int32_t>(cc.mask)));
-        v = vshlq_s32(v, vdupq_n_s32(cc.shift));
-        a = cc.neg ? vsubq_s32(a, v) : vaddq_s32(a, v);
-      }
-      vst1q_s32(accp + s, a);
-      if (layer.qrelu) {
-        int32x4_t r = vmaxq_s32(a, vzero);
-        r = vshlq_s32(r, vqshift);
-        r = vminq_s32(r, vact_max);
-        vst1q_s32(actp + s, r);
-      } else if (actp != accp) {
-        vst1q_s32(actp + s, a);
-      }
-    }
-  }
-  if (vec_end < n) sweep_scalar(layer, in, acc, act, n, vec_end, n, act_max);
-}
-#endif  // PMLP_HAVE_NEON
+#endif
 
 }  // namespace
 
 void layer_sweep(SimdIsa isa, const CompiledLayer& layer,
-                 const std::int32_t* in, std::int32_t* acc, std::int32_t* act,
-                 int n, std::int32_t act_max) {
-  switch (isa) {
+                 const std::int32_t* in, std::int32_t* act, int n,
+                 std::int32_t act_max) {
 #if defined(PMLP_HAVE_AVX2)
-    case SimdIsa::kAvx2:
-      sweep_avx2(layer, in, acc, act, n, act_max);
-      return;
+  if (isa == SimdIsa::kAvx2) return sweep_avx2(layer, in, act, n, act_max);
 #endif
-#if defined(PMLP_HAVE_NEON)
-    case SimdIsa::kNeon:
-      sweep_neon(layer, in, acc, act, n, act_max);
-      return;
-#endif
-    default:
-      break;
-  }
-  sweep_scalar(layer, in, acc, act, n, 0, n, act_max);
+  (void)isa;
+  sweep_body(layer, in, act, n, act_max);
 }
 
 void argmax_planes(SimdIsa isa, const std::int32_t* planes, int n_out, int n,
                    std::int32_t* preds) {
 #if defined(PMLP_HAVE_AVX2)
-  if (isa == SimdIsa::kAvx2) {
-    argmax_avx2(planes, n_out, n, preds);
-    return;
-  }
+  if (isa == SimdIsa::kAvx2) return argmax_avx2(planes, n_out, n, preds);
 #endif
   (void)isa;
-  argmax_scalar(planes, n_out, n, 0, n, preds);
+  argmax_body(planes, n_out, n, preds);
 }
 
 }  // namespace pmlp::core

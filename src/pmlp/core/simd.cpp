@@ -22,7 +22,11 @@ SimdIsa detect_simd_isa() {
 #if defined(__aarch64__)
   return SimdIsa::kNeon;  // Advanced SIMD is architecturally baseline.
 #elif defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") ? SimdIsa::kAvx2 : SimdIsa::kScalar;
+  // The training kernels' AVX2 variants also use FMA, so kAvx2 promises
+  // both.
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")
+             ? SimdIsa::kAvx2
+             : SimdIsa::kScalar;
 #else
   return SimdIsa::kScalar;
 #endif

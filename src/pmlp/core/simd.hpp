@@ -1,16 +1,20 @@
-// Runtime CPU dispatch for the sample-blocked evaluation kernels
-// (eval_kernels.hpp).
+// Runtime CPU dispatch for the sample-blocked kernels (eval_kernels.hpp,
+// mlp/train_kernels.hpp).
 //
 // The dispatched ISA is resolved once per process from three inputs:
-// compile-time capability (the AVX2 variant exists only in x86-64 builds,
-// NEON only on AArch64, where it is baseline), runtime CPU support
-// (`__builtin_cpu_supports("avx2")`), and the PMLP_SIMD environment knob.
-// `PMLP_SIMD=off` (alias `scalar`) forces the scalar block kernel — CI runs
-// the eval/serve suites under it to keep the scalar oracle exercised;
-// `avx2` / `neon` request a specific ISA and degrade to scalar when the
-// machine can't honor it. Tests and benches override in-process via
-// set_simd_isa() to A/B the paths within one run. Every variant performs
-// identical arithmetic — dispatch changes speed, never results.
+// compile-time capability (kAvx2 exists only in x86-64 builds, kNeon only
+// on AArch64, where it is baseline), runtime CPU support
+// (`__builtin_cpu_supports`: kAvx2 needs both AVX2 and FMA, which the
+// training kernels' AVX2 variants use), and the PMLP_SIMD environment knob.
+// The eval kernels are one portable loop nest per job: kAvx2 runs its
+// `target("avx2")` clone, every other value the plain build, which the
+// compiler vectorizes for the baseline ISA (SSE2 on x86-64, NEON on
+// AArch64). `PMLP_SIMD=off` (alias `scalar`) forces kScalar — CI runs the
+// eval/serve suites under it to keep the plain build exercised; `avx2` /
+// `neon` request a specific ISA and degrade to scalar when the machine
+// can't honor it. Tests and benches override in-process via set_simd_isa()
+// to A/B the paths within one run. The eval kernels do identical int32
+// arithmetic under every ISA — dispatch changes speed, never results.
 #pragma once
 
 namespace pmlp::core {

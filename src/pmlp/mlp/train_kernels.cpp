@@ -265,15 +265,6 @@ __attribute__((target("avx2,fma"))) void softmax_avx2(const double* z,
   if (vec_end < nb) softmax_scalar(z, n_out, nb, probs, vec_end, nb);
 }
 
-/// The dispatch enum only proves AVX2 (detect_simd_isa); the double kernels
-/// also want FMA, which every AVX2-era core ships but the contract doesn't
-/// include — degrade to scalar on the (hypothetical) AVX2-without-FMA part.
-bool avx2_fma_ok() {
-  static const bool ok = __builtin_cpu_supports("avx2") &&
-                         __builtin_cpu_supports("fma");
-  return ok;
-}
-
 #endif  // PMLP_HAVE_AVX2
 
 // -------------------------------------------------------------------- NEON
@@ -365,11 +356,8 @@ void train_forward_sweep(core::SimdIsa isa, const double* w,
   switch (isa) {
 #if defined(PMLP_HAVE_AVX2)
     case core::SimdIsa::kAvx2:
-      if (avx2_fma_ok()) {
-        forward_avx2(w, bias, n_in, n_out, in, out, nb, relu);
-        return;
-      }
-      break;
+      forward_avx2(w, bias, n_in, n_out, in, out, nb, relu);
+      return;
 #endif
 #if defined(PMLP_HAVE_NEON)
     case core::SimdIsa::kNeon:
@@ -387,11 +375,8 @@ void train_grad_sweep(core::SimdIsa isa, const double* delta, const double* in,
   switch (isa) {
 #if defined(PMLP_HAVE_AVX2)
     case core::SimdIsa::kAvx2:
-      if (avx2_fma_ok()) {
-        grad_avx2(delta, in, n_in, n_out, nb, dw, db);
-        return;
-      }
-      break;
+      grad_avx2(delta, in, n_in, n_out, nb, dw, db);
+      return;
 #endif
 #if defined(PMLP_HAVE_NEON)
     case core::SimdIsa::kNeon:
@@ -407,7 +392,7 @@ void train_grad_sweep(core::SimdIsa isa, const double* delta, const double* in,
 void train_softmax_sweep(core::SimdIsa isa, const double* z, int n_out,
                          int nb, double* probs) {
 #if defined(PMLP_HAVE_AVX2)
-  if (isa == core::SimdIsa::kAvx2 && avx2_fma_ok()) {
+  if (isa == core::SimdIsa::kAvx2) {
     softmax_avx2(z, n_out, nb, probs);
     return;
   }
@@ -423,11 +408,8 @@ void train_delta_sweep(core::SimdIsa isa, const double* w, int n_in,
   switch (isa) {
 #if defined(PMLP_HAVE_AVX2)
     case core::SimdIsa::kAvx2:
-      if (avx2_fma_ok()) {
-        delta_avx2(w, n_in, n_out, delta, in_act, prev, nb, relu_leak);
-        return;
-      }
-      break;
+      delta_avx2(w, n_in, n_out, delta, in_act, prev, nb, relu_leak);
+      return;
 #endif
 #if defined(PMLP_HAVE_NEON)
     case core::SimdIsa::kNeon:

@@ -428,35 +428,52 @@ TEST(PredictBatch, BitIdenticalToPerSamplePredictAcrossStylesAndSizes) {
 }
 
 TEST(PredictBatch, ForcedScalarDispatchBitIdenticalToSimd) {
+  // Every batch size 1..130 covers one and two full blocks, each short
+  // last-block length, and a one-sample block after two full ones.
   const mlp::Topology topo{{6, 5, 4}};
   const core::BitConfig bits;
   const core::ChromosomeCodec codec(topo, bits);
-  const auto data = random_dataset(6, 4, 129, bits.input_bits, 5);
+  const auto data = random_dataset(6, 4, 130, bits.input_bits, 5);
 
   std::mt19937_64 rng(17);
   core::EvalWorkspace ws;
-  for (int rep = 0; rep < 6; ++rep) {
-    const core::ApproxMlp net =
-        codec.decode(random_genes(codec, MaskStyle::kSparse, rng));
-    const core::CompiledNet compiled(net);
-    std::vector<std::int32_t> scalar_preds(data.size());
-    std::vector<std::int32_t> simd_preds(data.size());
-    {
-      ScopedIsa forced(core::SimdIsa::kScalar);
-      ASSERT_EQ(core::active_simd_isa(), core::SimdIsa::kScalar);
-      compiled.predict_batch(data.codes.data(), data.size(),
-                             scalar_preds.data(), ws);
-    }
-    {
-      // On a scalar-only machine both runs dispatch scalar and the test
-      // degenerates to a determinism check — still meaningful.
-      ScopedIsa forced(core::detect_simd_isa());
-      compiled.predict_batch(data.codes.data(), data.size(),
-                             simd_preds.data(), ws);
-    }
-    for (std::size_t s = 0; s < data.size(); ++s) {
-      ASSERT_EQ(scalar_preds[s], simd_preds[s]) << "sample " << s;
-      ASSERT_EQ(scalar_preds[s], net.predict(data.row(s)));
+  const MaskStyle styles[] = {MaskStyle::kDense, MaskStyle::kSparse,
+                              MaskStyle::kFullyPruned, MaskStyle::kCoarse};
+  for (MaskStyle style : styles) {
+    for (int rep = 0; rep < 4; ++rep) {
+      core::ApproxMlp net = codec.decode(random_genes(codec, style, rng));
+      // Decoded QReLU shifts keep every activation within act_max; zeroing
+      // them on odd reps makes the act_max clamp bind.
+      if (rep % 2 == 1) {
+        for (auto& layer : net.layers()) layer.qrelu_shift = 0;
+      }
+      const core::CompiledNet compiled(net);
+      std::vector<int> expected(data.size());
+      for (std::size_t s = 0; s < data.size(); ++s) {
+        expected[s] = net.predict(data.row(s));
+      }
+      for (std::size_t n = 1; n <= data.size(); ++n) {
+        std::vector<std::int32_t> scalar_preds(n, -1);
+        std::vector<std::int32_t> simd_preds(n, -1);
+        {
+          ScopedIsa forced(core::SimdIsa::kScalar);
+          ASSERT_EQ(core::active_simd_isa(), core::SimdIsa::kScalar);
+          compiled.predict_batch(data.codes.data(), n, scalar_preds.data(),
+                                 ws);
+        }
+        {
+          // On a scalar-only machine both runs dispatch scalar and the test
+          // degenerates to a determinism check — still meaningful.
+          ScopedIsa forced(core::detect_simd_isa());
+          compiled.predict_batch(data.codes.data(), n, simd_preds.data(), ws);
+        }
+        for (std::size_t s = 0; s < n; ++s) {
+          ASSERT_EQ(scalar_preds[s], simd_preds[s])
+              << "n " << n << " sample " << s;
+          ASSERT_EQ(scalar_preds[s], expected[s])
+              << "n " << n << " sample " << s;
+        }
+      }
     }
   }
 }
